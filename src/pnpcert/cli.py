@@ -4,10 +4,12 @@ runs, certification sweeps, schedule comparisons, and one-shot denoising.
 Config files are flat ``key = value`` text, one pair per line, with ``#``
 comments. Unknown keys are rejected. The ``gamma`` key is a fraction of the
 certified step-size bound: the solver uses gamma / lambda_hat where
-lambda_hat is the power-method estimate of the largest Gram eigenvalue.
+lambda_hat is the largest Gram eigenvalue, exact from the operator's
+structure (a power-method estimate for the degree-rescaled Gram map of the
+scaled algorithm). The ``cg_tol`` and ``cg_max_iter`` keys are accepted and
+have no effect: the quadratic prox is solved exactly.
 
-Exit codes: 0 success, 2 config/validation error, 3 divergence or numeric
-failure, 4 I/O error.
+Exit codes: 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class ExperimentConfig:
     L: float = 2.0
     max_iter: int = 20000
     stop_tol: float = 1e-9
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
+    cg_tol: float = 1e-10            # no effect: the prox is solved exactly
+    cg_max_iter: int = 500           # no effect
     guide_warmup_iters: int = 0
     init: str = "zeros"              # zeros | backprojection | random
     out: str = "out"
@@ -133,8 +135,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         )
         solvers.SolverConfig(
             gamma=1.0, lam=cfg.lam, L=cfg.L, max_iter=cfg.max_iter,
-            stop_tol=cfg.stop_tol, cg_tol=cfg.cg_tol, cg_max_iter=cfg.cg_max_iter,
-            guide_warmup_iters=cfg.guide_warmup_iters,
+            stop_tol=cfg.stop_tol, guide_warmup_iters=cfg.guide_warmup_iters,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -199,8 +200,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 def _solver_config(cfg: ExperimentConfig, gamma_abs: float | None) -> solvers.SolverConfig:
     return solvers.SolverConfig(
         gamma=gamma_abs, lam=cfg.lam, L=cfg.L, max_iter=cfg.max_iter,
-        stop_tol=cfg.stop_tol, cg_tol=cfg.cg_tol, cg_max_iter=cfg.cg_max_iter,
-        guide_warmup_iters=cfg.guide_warmup_iters,
+        stop_tol=cfg.stop_tol, guide_warmup_iters=cfg.guide_warmup_iters,
     )
 
 
@@ -271,8 +271,7 @@ def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOp
     if not 0 < grid_value <= 1:
         raise ConfigError("red grid values are 1/L and must lie in (0, 1]")
     return spectral.red_operator(
-        prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value,
-        cg_tol=cfg.cg_tol, cg_max_iter=cfg.cg_max_iter,
+        prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value
     )
 
 
@@ -507,9 +506,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except solvers.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except solvers.CgError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Matrix-free forward operators with exact adjoints.
+"""Matrix-free forward operators with exact adjoints and closed-form solves.
 
 Three measurement models on a rows x cols pixel grid:
 
@@ -6,9 +6,15 @@ Three measurement models on a rows x cols pixel grid:
 * ``blur``     -- 2-D circular convolution with a normalized nonnegative kernel,
 * ``superres`` -- circular blur followed by stride-``factor`` decimation.
 
-Circular boundary handling keeps the adjoint exact and the Gram operator a
-convolution. Adjoints are built from the same tap set with negated shifts, so
-the adjoint identity holds to rounding error by construction.
+Circular boundary handling makes the blur a multiplier in the 2-D DFT basis
+(Hansen, Nagy & O'Leary, *Deblurring Images*, SIAM 2006): the kernel, with
+its centred taps wrapped onto the grid, is transformed once at construction
+and apply/adjoint multiply by the symbol H and its conjugate. The same
+structure gives the shifted Gram solve (I + mu A^T A)^-1 and the largest
+Gram eigenvalue in closed form: A^T A is diag(mask) for inpainting and
+|H|^2 for blur; for blur+decimation A A^T is circulant on the coarse grid,
+with the alias average of |H|^2 as symbol, so the solve follows by the
+Woodbury identity (Zhao et al., IEEE TIP 2016).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .imgcore import Image, Rng, gaussian_noise, load_pgm, save_pgm
 
@@ -24,7 +31,10 @@ _POWER_SEED = 0x9D2C5680  # fixed start for power iterations
 
 @dataclass(frozen=True)
 class PowerEstimate:
-    """Dominant-eigenvalue estimate from power iteration."""
+    """Dominant-eigenvalue estimate from power iteration.
+
+    Exact values are reported as converged after zero iterations.
+    """
 
     value: float
     converged: bool
@@ -42,20 +52,25 @@ class ForwardOp:
     mask: np.ndarray | None = None    # bool, length n (inpaint)
     kernel: np.ndarray | None = None  # 2-D taps summing to 1 (blur/superres)
     factor: int = 1
-    # rank-1 factorization (col, row) of the kernel when it is exactly
-    # separable (Gaussians are); same map, one roll per 1-D tap
-    kernel_sep: tuple | None = None
+    # rfft2 of the kernel wrapped onto the grid (blur/superres)
+    symbol: np.ndarray | None = None
+    # eigenvalues of A A^T in rfft2 layout on the measurement grid: |H|^2 for
+    # blur, the mean of |H|^2 over the factor x factor aliases for superres
+    aat_symbol: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return self.rows_in * self.cols_in
 
+    @property
+    def _meas_shape(self) -> tuple[int, int]:
+        return self.rows_in // self.factor, self.cols_in // self.factor
+
     def _convolve(self, g: np.ndarray, transpose: bool) -> np.ndarray:
-        if self.kernel_sep is not None:
-            col, row = self.kernel_sep
-            g = _conv1_circular(g, col, axis=0, transpose=transpose)
-            return _conv1_circular(g, row, axis=1, transpose=transpose)
-        return _conv2_circular(g, self.kernel, transpose=transpose)
+        if self.kernel.size == 1:  # a single normalized tap is the identity
+            return g
+        h = np.conj(self.symbol) if transpose else self.symbol
+        return fft.irfft2(fft.rfft2(g) * h, s=g.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = _check_len(x, self.n)
@@ -74,9 +89,7 @@ class ForwardOp:
             return out
         if self.kind == "superres":
             up = np.zeros((self.rows_in, self.cols_in))
-            up[:: self.factor, :: self.factor] = y.reshape(
-                self.rows_in // self.factor, self.cols_in // self.factor
-            )
+            up[:: self.factor, :: self.factor] = y.reshape(self._meas_shape)
             g = up
         else:
             g = y.reshape(self.rows_in, self.cols_in)
@@ -94,48 +107,17 @@ def _check_len(v: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _conv2_circular(grid: np.ndarray, kernel: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Circular convolution with the centered kernel; transpose flips all shifts."""
+def _wrap_kernel(rows: int, cols: int, kernel: np.ndarray) -> np.ndarray:
+    """The centred kernel wrapped onto a rows x cols grid.
+
+    Taps that land on the same pixel (kernels wider than the grid) add up,
+    which is what circular convolution with the full kernel does.
+    """
     kh, kw = kernel.shape
-    out = np.zeros_like(grid)
-    sign = -1 if transpose else 1
-    for a in range(kh):
-        for b in range(kw):
-            w = kernel[a, b]
-            if w == 0.0:
-                continue
-            dy = sign * (a - kh // 2)
-            dx = sign * (b - kw // 2)
-            out += w * np.roll(grid, (dy, dx), axis=(0, 1))
-    return out
-
-
-def _conv1_circular(grid: np.ndarray, taps: np.ndarray, axis: int, transpose: bool) -> np.ndarray:
-    out = np.zeros_like(grid)
-    half = len(taps) // 2
-    sign = -1 if transpose else 1
-    for a, w in enumerate(taps):
-        if w == 0.0:
-            continue
-        out += w * np.roll(grid, sign * (a - half), axis=axis)
-    return out
-
-
-def _separate_kernel(kernel: np.ndarray) -> tuple | None:
-    """Rank-1 factorization (col, row) with outer(col, row) == kernel to
-    rounding error, or None when the kernel is not separable."""
-    if kernel.shape[0] == 1 or kernel.shape[1] == 1:
-        return None  # nothing to gain
-    u, s, vt = np.linalg.svd(kernel)
-    if s[1] > 1e-14 * s[0]:
-        return None
-    col = u[:, 0] * np.sqrt(s[0])
-    row = vt[0] * np.sqrt(s[0])
-    if col.sum() < 0:  # nonnegative kernels: fix the sign indeterminacy
-        col, row = -col, -row
-    if np.abs(np.outer(col, row) - kernel).max() > 1e-14:
-        return None
-    return col, row
+    dy, dx = np.indices(kernel.shape)
+    h = np.zeros((rows, cols))
+    np.add.at(h, ((dy - kh // 2) % rows, (dx - kw // 2) % cols), kernel)
+    return h
 
 
 def _validate_kernel(kernel: np.ndarray) -> np.ndarray:
@@ -186,9 +168,10 @@ def make_inpaint(rows: int, cols: int, fraction: float, rng: Rng) -> ForwardOp:
 def make_blur(rows: int, cols: int, kernel: np.ndarray) -> ForwardOp:
     """Circular 2-D convolution operator; taps are normalized to sum 1."""
     kernel = _validate_kernel(kernel)
+    symbol = fft.rfft2(_wrap_kernel(rows, cols, kernel))
     return ForwardOp(
         kind="blur", rows_in=rows, cols_in=cols, m=rows * cols, kernel=kernel,
-        kernel_sep=_separate_kernel(kernel),
+        symbol=symbol, aat_symbol=np.abs(symbol) ** 2,
     )
 
 
@@ -201,10 +184,14 @@ def make_superres(rows: int, cols: int, kernel: np.ndarray, factor: int) -> Forw
     if rows % factor or cols % factor:
         raise ValueError(f"grid {rows}x{cols} not divisible by factor {factor}")
     kernel = _validate_kernel(kernel)
-    m = (rows // factor) * (cols // factor)
+    h = _wrap_kernel(rows, cols, kernel)
+    r, c = rows // factor, cols // factor
+    # decimation folds fine frequency (k + p r, l + q c) onto coarse (k, l)
+    aliases = np.abs(fft.fft2(h)).reshape(factor, r, factor, c) ** 2
+    coarse = aliases.mean(axis=(0, 2))[:, : c // 2 + 1]
     return ForwardOp(
-        kind="superres", rows_in=rows, cols_in=cols, m=m, kernel=kernel, factor=factor,
-        kernel_sep=_separate_kernel(kernel),
+        kind="superres", rows_in=rows, cols_in=cols, m=r * c, kernel=kernel, factor=factor,
+        symbol=fft.rfft2(h), aat_symbol=coarse,
     )
 
 
@@ -218,33 +205,56 @@ def observe(op: ForwardOp, truth: Image, sigma: float, rng: Rng) -> np.ndarray:
     return op.apply(truth.data) + gaussian_noise(rng, op.m, sigma)
 
 
+def solve_shifted_gram(op: ForwardOp, mu: float, rhs: np.ndarray) -> np.ndarray:
+    """Exact solution x of (I + mu A^T A) x = rhs, for mu >= 0.
+
+    inpaint divides by 1 + mu * mask, blur by 1 + mu |H|^2 in Fourier space,
+    and superres applies the Woodbury identity
+    (I + mu A^T A)^-1 = I - mu A^T (I + mu A A^T)^-1 A
+    with A A^T diagonal in the coarse grid's Fourier basis.
+    """
+    rhs = _check_len(rhs, op.n)
+    if op.kind == "inpaint":
+        return rhs / (1.0 + mu * op.mask)
+    if op.kind == "blur":
+        grid = rhs.reshape(op.rows_in, op.cols_in)
+        spec = fft.rfft2(grid) / (1.0 + mu * op.aat_symbol)
+        return fft.irfft2(spec, s=grid.shape).reshape(-1)
+    coarse = op.apply(rhs).reshape(op._meas_shape)
+    spec = fft.rfft2(coarse) / (1.0 + mu * op.aat_symbol)
+    return rhs - mu * op.adjoint(fft.irfft2(spec, s=coarse.shape))
+
+
 def lambda_max_gram(
     op: ForwardOp,
     tol: float = 1e-10,
     max_iter: int = 10000,
     diag: np.ndarray | None = None,
 ) -> PowerEstimate:
-    """Largest eigenvalue of A^T A by power iteration from a fixed seeded start.
+    """Largest eigenvalue of A^T A.
 
-    With ``diag`` set to a positive vector d, estimates the top eigenvalue of
-    the diagonally rescaled Gram map diag(d)^-1/2 A^T A diag(d)^-1/2 instead.
+    Without ``diag`` the value is exact: 1 for inpainting, and the largest
+    eigenvalue of A A^T (max |H|^2, or its alias average for superres)
+    otherwise; ``tol`` and ``max_iter`` are then unused. With ``diag`` set
+    to a positive vector d, estimates the top eigenvalue of the diagonally
+    rescaled Gram map diag(d)^-1/2 A^T A diag(d)^-1/2 by power iteration
+    from a fixed seeded start.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if diag is None:
+        top = 1.0 if op.kind == "inpaint" else float(op.aat_symbol.max())
+        return PowerEstimate(top, True, 0)
     n = op.n
-    if diag is not None:
-        diag = _check_len(diag, n)
-        if np.any(diag <= 0):
-            raise ValueError("diag entries must be positive")
-        dis = 1.0 / np.sqrt(diag)
-        mv = lambda v: dis * op.gram(dis * v)
-    else:
-        mv = op.gram
+    diag = _check_len(diag, n)
+    if np.any(diag <= 0):
+        raise ValueError("diag entries must be positive")
+    dis = 1.0 / np.sqrt(diag)
     v = gaussian_noise(Rng(_POWER_SEED), n, 1.0)
     v /= np.linalg.norm(v)
     est_prev = np.inf
     for it in range(1, max_iter + 1):
-        w = mv(v)
+        w = dis * op.gram(dis * v)
         est = float(v @ w)
         if abs(est - est_prev) < tol * max(abs(est), np.finfo(float).tiny):
             return PowerEstimate(est, True, it)

@@ -9,8 +9,9 @@ Three schemes, all with a pluggable momentum sequence {alpha_k}:
                           weighted by the denoiser's degree diagonal, which is the
                           geometry in which plain NLM weights are self-adjoint.
 
-The data-fidelity proximal map solves (I + mu A^T A) x = v + mu A^T b by
-conjugate gradient, warm-started at v.
+The data-fidelity proximal map solves (I + mu A^T A) x = v + mu A^T b in
+closed form with ``fwdops.solve_shifted_gram`` (a diagonal, Fourier or
+Woodbury solve, depending on the operator).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fwdops import ForwardOp
+from .fwdops import ForwardOp, solve_shifted_gram
 from .imgcore import psnr_vec
 from .kernel_denoise import KernelDenoiser
 
@@ -32,18 +33,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
-
-
-class CgError(RuntimeError):
-    """Conjugate gradient failed to reach the requested residual."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"conjugate gradient stalled at relative residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass
@@ -122,8 +111,6 @@ class SolverConfig:
     L: float = 2.0               # red internal parameter, >= 1
     max_iter: int = 20000
     stop_tol: float = 1e-9       # on ||x_k - x_{k-1}|| / ||x_k||
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
     guide_warmup_iters: int = 0
 
     def __post_init__(self):
@@ -135,8 +122,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
-        if self.cg_tol <= 0 or self.cg_max_iter < 1:
-            raise ValueError("invalid conjugate-gradient settings")
         if self.guide_warmup_iters < 0:
             raise ValueError("guide_warmup_iters must be nonnegative")
 
@@ -214,54 +199,22 @@ class _TraceBuilder:
         )
 
 
-def solve_shifted_gram(
-    op: ForwardOp,
-    mu: float,
-    rhs: np.ndarray,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> np.ndarray:
-    """Conjugate gradient for (I + mu A^T A) x = rhs; the map is symmetric
-    positive definite for mu > 0. Stops at relative residual <= tol."""
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    mv = lambda v: v + mu * op.gram(v)
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    r = rhs - mv(x)
-    res = np.linalg.norm(r)
-    if res <= tol * rhs_norm:
-        return x
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        mp = mv(p)
-        alpha_cg = rs / float(p @ mp)
-        x += alpha_cg * p
-        r -= alpha_cg * mp
-        rs_new = float(r @ r)
-        res = math.sqrt(rs_new)
-        if res <= tol * rhs_norm:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise CgError(res / rhs_norm, max_iter)
-
-
 def prox_quadratic(
     op: ForwardOp,
     b: np.ndarray,
     mu: float,
     v: np.ndarray,
-    cg_tol: float = 1e-10,
-    cg_max_iter: int = 500,
+    cg_tol: float | None = None,
+    cg_max_iter: int | None = None,
 ) -> np.ndarray:
-    """Proximal map of mu/2 ||A x - b||^2 ... solves (I + mu A^T A) x = v + mu A^T b."""
+    """Proximal map of mu/2 ||A x - b||^2 ... solves (I + mu A^T A) x = v + mu A^T b.
+
+    The solve is exact; ``cg_tol`` and ``cg_max_iter`` are accepted for
+    callers written against the former conjugate-gradient solver and ignored.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    rhs = v + mu * op.adjoint(b)
-    return solve_shifted_gram(op, mu, rhs, x0=v, tol=cg_tol, max_iter=cg_max_iter)
+    return solve_shifted_gram(op, mu, v + mu * op.adjoint(b))
 
 
 def _guard_iterate(x: np.ndarray, k: int, bound: float) -> None:
@@ -389,9 +342,7 @@ def red_apg(
     x_prev = None
     converged = False
     for k in range(1, config.max_iter + 1):
-        x = solve_shifted_gram(
-            op, mu, v + atb_mu, x0=v, tol=config.cg_tol, max_iter=config.cg_max_iter
-        )
+        x = solve_shifted_gram(op, mu, v + atb_mu)
         _guard_iterate(x, k, guard)
         if k == 1:
             x_prev = x.copy()

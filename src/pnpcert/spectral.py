@@ -44,8 +44,6 @@ class IterationOperator:
     gamma: float | None = None
     mu: float | None = None
     theta: float | None = None
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
     _dinv: np.ndarray | None = field(default=None, repr=False)
     _dsqrt_inv: np.ndarray | None = field(default=None, repr=False)
     _w_sym: object = field(default=None, repr=False)
@@ -54,7 +52,7 @@ class IterationOperator:
     def n(self) -> int:
         return self.op.n
 
-    def apply(self, x: np.ndarray, cg_start: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.size}")
@@ -64,13 +62,11 @@ class IterationOperator:
         if self.kind == "scaled_pnp":
             return W @ (x - self.gamma * (self._dinv * self.op.gram(x)))
         blended = self.theta * (W @ x) + (1.0 - self.theta) * x
-        return solve_shifted_gram(
-            self.op, self.mu, blended, x0=cg_start, tol=self.cg_tol, max_iter=self.cg_max_iter
-        )
+        return solve_shifted_gram(self.op, self.mu, blended)
 
-    def spectral_apply(self, x: np.ndarray, cg_start: np.ndarray | None = None) -> np.ndarray:
+    def spectral_apply(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "scaled_pnp":
-            return self.apply(x, cg_start)
+            return self.apply(x)
         s = self._dsqrt_inv
         return self._w_sym @ (x - self.gamma * (s * self.op.gram(s * x)))
 
@@ -85,9 +81,7 @@ class IterationOperator:
             return self.gamma * (W @ atb)
         if self.kind == "scaled_pnp":
             return self.gamma * (W @ (self._dinv * atb))
-        return solve_shifted_gram(
-            self.op, self.mu, self.mu * atb, tol=self.cg_tol, max_iter=self.cg_max_iter
-        )
+        return solve_shifted_gram(self.op, self.mu, self.mu * atb)
 
 
 def _check_pair(op: ForwardOp, denoiser: KernelDenoiser) -> None:
@@ -109,18 +103,13 @@ def red_operator(
     denoiser: KernelDenoiser,
     mu: float,
     theta: float,
-    cg_tol: float = 1e-10,
-    cg_max_iter: int = 500,
 ) -> IterationOperator:
     _check_pair(op, denoiser)
     if mu <= 0:
         raise ValueError("mu must be positive")
     if not 0 <= theta <= 1:
         raise ValueError("theta must be in [0, 1]")
-    return IterationOperator(
-        kind="red", op=op, denoiser=denoiser, mu=mu, theta=theta,
-        cg_tol=cg_tol, cg_max_iter=cg_max_iter,
-    )
+    return IterationOperator(kind="red", op=op, denoiser=denoiser, mu=mu, theta=theta)
 
 
 def scaled_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
@@ -155,9 +144,8 @@ def spectral_radius(
     v = gaussian_noise(rng, iter_op.n, 1.0)
     v /= np.linalg.norm(v)
     est_prev = np.inf
-    w = None
     for it in range(1, max_iter + 1):
-        w = iter_op.spectral_apply(v, cg_start=w)
+        w = iter_op.spectral_apply(v)
         est = float(v @ w)
         if abs(est - est_prev) < tol * max(abs(est), np.finfo(float).tiny):
             return PowerEstimate(est, True, it)
@@ -206,10 +194,8 @@ def fixed_point(
     if qn == 0.0:
         return np.zeros(iter_op.n)
     x = q.copy()
-    w = None
     for _ in range(max_iter):
-        w = iter_op.apply(x, cg_start=w)
-        x_new = w + q
+        x_new = iter_op.apply(x) + q
         if np.linalg.norm(x_new - x) <= tol * qn:
             return x_new
         x = x_new

@@ -128,7 +128,7 @@ def test_criterion_2():
             assert re.max() <= 1.0 - 1e-10
         for mu in (0.5, 1.0, 2.0):
             for theta in (0.25, 0.5, 1.0):
-                it = red_operator(op, den, mu=mu, theta=theta, cg_tol=1e-13)
+                it = red_operator(op, den, mu=mu, theta=theta)
                 _, eig = dense_oracle(it.apply, op.n)
                 re, im = np.real(eig), np.imag(eig)
                 assert np.abs(im).max() <= 1e-8
@@ -292,15 +292,15 @@ def test_criterion_8():
             lhs = op.apply(x) @ y
             assert abs(lhs - x @ op.adjoint(y)) <= 1e-12 * (1.0 + abs(lhs))
 
-    # conjugate-gradient prox against a dense solve at 8x8
+    # closed-form prox against a dense solve at 8x8
     op = ops[1]
     b = observe(op, truth, 0.02, Rng(802))
     v = gaussian_noise(Rng(803), 64, 1.0)
     mu = 0.8
-    got = prox_quadratic(op, b, mu, v, cg_tol=1e-13)
+    got = prox_quadratic(op, b, mu, v)
     system = np.eye(64) + mu * materialize(op.gram, 64)
     expected = np.linalg.solve(system, v + mu * op.adjoint(b))
-    assert np.abs(got - expected).max() <= 1e-8
+    assert np.abs(got - expected).max() <= 1e-12
 
     # power method against the dense eigensolver at n = 256
     op16 = make_inpaint(16, 16, 0.3, Rng(804))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnpcert import Image, load_pgm, save_pgm
+from pnpcert import Image, gaussian_kernel, load_pgm, make_superres, save_pgm
 from pnpcert.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -13,7 +13,7 @@ from pnpcert.cli import (
     parse_config,
 )
 
-from conftest import synthetic_image
+from conftest import dense_forward, synthetic_image
 
 
 def write_truth(tmp_path, rows=16, cols=16):
@@ -48,6 +48,17 @@ def write_config(tmp_path, **over):
     path = tmp_path / "exp.cfg"
     path.write_text("# test configuration\n" + "\n".join(lines) + "\n")
     return path
+
+
+def read_kv(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def superres_lambda_max(side, kernel_size, kernel_sigma, factor):
+    """Largest eigenvalue of A^T A from a dense eigensolve."""
+    op = make_superres(side, side, gaussian_kernel(kernel_size, kernel_sigma), factor)
+    a = dense_forward(op)
+    return float(np.linalg.eigvalsh(a.T @ a)[-1])
 
 
 class TestParseConfig:
@@ -108,6 +119,15 @@ class TestRun:
         assert summary["task"] == "deblur"
         assert "psnr_observed" in summary
         assert float(summary["psnr_recon"]) > 0
+
+    def test_summary_lambda_hat_is_exact(self, tmp_path):
+        write_truth(tmp_path)
+        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        assert read_kv(tmp_path / "out" / "summary.txt")["lambda_hat"] == "1.0"
+        cfg_path = write_config(tmp_path, task="superres", sr_factor=2, max_iter=5)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        lam = float(read_kv(tmp_path / "out" / "summary.txt")["lambda_hat"])
+        assert lam == pytest.approx(superres_lambda_max(16, 5, 1.0, 2), rel=1e-12)
 
     def test_inpaint_writes_mask(self, tmp_path):
         write_truth(tmp_path)
@@ -220,6 +240,22 @@ class TestCertify:
         reports = list((tmp_path / "out" / "reports").glob("*.txt"))
         assert len(reports) == 2
         assert "rho_P=" in reports[0].read_text()
+
+    def test_deblur_gamma_interval_is_exact(self, tmp_path):
+        # a normalized nonnegative kernel has lambda_max(A^T A) = H(0)^2 = 1
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path)
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_OK
+        (report,) = (tmp_path / "out" / "reports").glob("*.txt")
+        assert read_kv(report)["gamma_interval_high"] == "1.0"
+
+    def test_superres_gamma_interval_is_exact(self, tmp_path):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="superres", sr_factor=2)
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_OK
+        (report,) = (tmp_path / "out" / "reports").glob("*.txt")
+        high = float(read_kv(report)["gamma_interval_high"])
+        assert high == pytest.approx(1.0 / superres_lambda_max(16, 5, 1.0, 2), rel=1e-12)
 
     def test_empty_grid_rejected(self, tmp_path):
         write_truth(tmp_path)

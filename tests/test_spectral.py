@@ -56,7 +56,7 @@ class TestApplyP:
         op = make_inpaint(rows, cols, 1.0, Rng(2))
         den = build_denoiser(synthetic_image(rows, cols), KernelParams(1, 2, 0.1), "dsg")
         mu = 0.8
-        it = red_operator(op, den, mu=mu, theta=0.0, cg_tol=1e-14)
+        it = red_operator(op, den, mu=mu, theta=0.0)
         ones = np.ones(op.n)
         assert np.abs(it.apply(ones) - 1.0 / (1.0 + mu)).max() <= 1e-12
 
@@ -87,7 +87,7 @@ class TestApplyP:
     def test_red_offset_solves_regularized_system(self):
         op, b, den = small_problem()
         mu = 0.5
-        it = red_operator(op, den, mu=mu, theta=0.5, cg_tol=1e-14)
+        it = red_operator(op, den, mu=mu, theta=0.5)
         r = it.offset(b)
         assert np.abs(r + mu * op.gram(r) - mu * op.adjoint(b)).max() <= 1e-10
 
@@ -127,7 +127,7 @@ class TestSpectralRadius:
     def test_red_matches_dense(self):
         op, _, den = small_problem()
         mu, theta = 0.5, 0.5
-        it = red_operator(op, den, mu=mu, theta=theta, cg_tol=1e-13)
+        it = red_operator(op, den, mu=mu, theta=theta)
         _, eig = dense_oracle(it.apply, op.n)
         est = spectral_radius(it, tol=1e-13, rng=Rng(8))
         assert est.value == pytest.approx(float(np.max(np.real(eig))), abs=1e-8)
@@ -187,7 +187,7 @@ class TestFixedPoint:
 
     def test_red_fixed_point_dense(self):
         op, b, den = small_problem()
-        it = red_operator(op, den, mu=0.5, theta=0.5, cg_tol=1e-14)
+        it = red_operator(op, den, mu=0.5, theta=0.5)
         r = it.offset(b)
         x = fixed_point(it, r, tol=1e-13)
         P = materialize(it.apply, op.n)
@@ -303,7 +303,7 @@ class TestSpectrumInContractiveInterval:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_red_spectrum(self, mu, theta):
         op, _, den = small_problem()
-        it = red_operator(op, den, mu=mu, theta=theta, cg_tol=1e-13)
+        it = red_operator(op, den, mu=mu, theta=theta)
         _, eig = dense_oracle(it.apply, op.n)
         re, im = np.real(eig), np.imag(eig)
         assert np.abs(im).max() <= 1e-8
