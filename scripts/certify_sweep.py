@@ -16,6 +16,7 @@ from pnpcert import (
     KernelParams,
     Rng,
     build_denoiser,
+    check_assumption,
     gaussian_kernel,
     lambda_max_gram,
     load_pgm,
@@ -54,13 +55,14 @@ def main():
         b = observe(op, truth, args.noise_sigma, Rng(args.seed + 1))
         den = build_denoiser(make_guide(task, b, op), params, "dsg")
         lam = lambda_max_gram(op).value
+        checks = check_assumption(den, op)
         for algorithm in ("pnp_fista", "red_apg"):
             for g in grid:
                 if algorithm == "pnp_fista":
                     it = pnp_operator(op, den, g / lam)
                 else:
                     it = red_operator(op, den, mu=g, theta=g)
-                report = build_report(task, it, g, lam, power_tol=args.power_tol,
+                report = build_report(task, it, g, lam, checks, power_tol=args.power_tol,
                                       rng=Rng(args.seed + 7))
                 row = f"{algorithm},{report.csv_row()}"
                 rows.append(row)

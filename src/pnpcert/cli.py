@@ -355,7 +355,18 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"invalid grid value: {exc}") from None
     if any(v <= 0 for v in values):
         raise ConfigError("grid values must be positive")
+    labels = [_grid_label(v) for v in values]
+    if len(set(labels)) != len(labels):
+        raise ConfigError("grid values must be distinct: each names a report file")
     return values
+
+
+def _grid_label(value: float) -> str:
+    """File-name form of a grid value: its ``:g`` form when exact, else its repr."""
+    text = f"{value:g}"
+    if float(text) != value:
+        text = repr(value)
+    return re.sub(r"[^0-9a-zA-Z]+", "_", text).strip("_")
 
 
 def cmd_certify(args) -> int:
@@ -365,16 +376,17 @@ def cmd_certify(args) -> int:
     prob = build_problem(cfg)
     out = Path(cfg.out)
     (out / "reports").mkdir(parents=True, exist_ok=True)
+    checks = spectral.check_assumption(prob.denoiser, prob.op)
     rows = []
     for value in grid:
         iter_op = iteration_operator(prob, value)
         report = spectral.build_report(
-            cfg.task, iter_op, value, prob.lambda_hat.value,
+            cfg.task, iter_op, value, prob.lambda_hat.value, checks,
             power_tol=args.power_tol, power_max_iter=args.power_max_iter,
             rng=Rng(cfg.seed ^ 0x5EC7),
         )
         rows.append(report.csv_row())
-        name = re.sub(r"[^0-9a-zA-Z]+", "_", f"{cfg.algorithm}_{value:g}").strip("_")
+        name = f"{cfg.algorithm}_{_grid_label(value)}"
         (out / "reports" / f"{name}.txt").write_text(report.to_kv())
         print(report.csv_row())
     (out / "certify.csv").write_text(

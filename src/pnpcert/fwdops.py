@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .imgcore import Image, Rng, gaussian_noise, load_pgm, save_pgm
+from .imgcore import Image, Rng, gaussian_noise, save_pgm
 
 _POWER_SEED = 0x9D2C5680  # fixed start for power iterations
 
@@ -273,33 +273,5 @@ def export_mask(op: ForwardOp) -> Image:
     return Image(op.mask.astype(np.float64), op.rows_in, op.cols_in)
 
 
-def inpaint_from_mask(mask_img: Image) -> ForwardOp:
-    """Inpainting operator from a mask image (255 = observed, 0 = missing)."""
-    mask = mask_img.data > 0.5
-    m = int(mask.sum())
-    if m < 1:
-        raise ValueError("mask would be empty: at least one pixel must be sampled")
-    return ForwardOp(
-        kind="inpaint", rows_in=mask_img.rows, cols_in=mask_img.cols, m=m, mask=mask
-    )
-
-
 def save_mask_pgm(op: ForwardOp, path) -> None:
     save_pgm(export_mask(op), path)
-
-
-def load_mask_pgm(path) -> ForwardOp:
-    return inpaint_from_mask(load_pgm(path))
-
-
-def load_kernel_taps(path) -> np.ndarray:
-    """Read kernel taps from ASCII: first line "h w", then h*w taps row-major."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError("kernel file must start with 'h w'")
-    h, w = int(tokens[0]), int(tokens[1])
-    taps = tokens[2:]
-    if len(taps) != h * w:
-        raise ValueError(f"expected {h * w} taps, got {len(taps)}")
-    return np.array([float(t) for t in taps]).reshape(h, w)

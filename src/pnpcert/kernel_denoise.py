@@ -166,12 +166,6 @@ def symmetric_weights(denoiser: KernelDenoiser) -> sparse.csr_matrix:
     return denoiser.kernel.multiply(dis[:, None]).multiply(dis[None, :]).tocsr()
 
 
-def dense_weights(denoiser: KernelDenoiser) -> np.ndarray:
-    if denoiser.n > DENSE_CAP:
-        raise ValueError(f"dense materialization capped at n <= {DENSE_CAP}")
-    return denoiser.weights.toarray()
-
-
 def make_guide(task: str, observed: np.ndarray, op: ForwardOp) -> Image:
     """Guide image from the measurements, fixed before any solver iteration.
 
@@ -200,12 +194,3 @@ def make_guide(task: str, observed: np.ndarray, op: ForwardOp) -> Image:
     # 'mirror' keeps the cubic-spline prefilter exact (constants reproduce)
     grid = ndimage.zoom(small, op.factor, order=3, mode="mirror", grid_mode=True)
     return Image.from_grid(grid)
-
-
-def dump_kernel(kernel: sparse.csr_matrix, path) -> None:
-    """Write the affinity matrix as ASCII triplets "i j value", sorted by (i, j)."""
-    coo = kernel.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")

@@ -9,6 +9,11 @@ Three schemes, all with a pluggable momentum sequence {alpha_k}:
                           weighted by the denoiser's degree diagonal, which is the
                           geometry in which plain NLM weights are self-adjoint.
 
+With the denoiser frozen, each scheme's update is the affine map
+x -> P x + q of its ``spectral.IterationOperator``, the same object the
+certifier analyses. One momentum loop, ``_accelerate``, iterates that map for
+all three schemes; the public solvers only build the map and the start.
+
 The data-fidelity proximal map solves (I + mu A^T A) x = v + mu A^T b in
 closed form with ``fwdops.solve_shifted_gram`` (a diagonal, Fourier or
 Woodbury solve, depending on the operator).
@@ -25,6 +30,7 @@ import numpy as np
 from .fwdops import ForwardOp, solve_shifted_gram
 from .imgcore import psnr_vec
 from .kernel_denoise import KernelDenoiser
+from .spectral import IterationOperator, pnp_operator, red_operator, scaled_operator
 
 
 class DivergenceError(RuntimeError):
@@ -80,10 +86,6 @@ class MomentumSchedule:
         if self.kind == "constant":
             return f"constant({self.c:g})"
         return self.kind
-
-
-def alpha(schedule: MomentumSchedule, k: int) -> float:
-    return schedule.alpha(k)
 
 
 _SCHEDULE_RE = re.compile(r"^([a-z0-9]+)(?:\(([^)]*)\))?$")
@@ -146,7 +148,6 @@ class SolverTrace:
     final: np.ndarray
     converged: bool
     iterations: int
-    step_norm_scaled: np.ndarray | None = None  # degree-weighted norm (scaled variant)
 
     def write_csv(self, path) -> None:
         """CSV trace; absent optional columns are emitted as empty fields."""
@@ -162,16 +163,14 @@ class SolverTrace:
 
 
 class _TraceBuilder:
-    def __init__(self, truth, x_ref, scaled_diag=None):
+    def __init__(self, truth, x_ref):
         self.truth = truth
         self.x_ref = x_ref
-        self.scaled_diag = scaled_diag
         self.k = []
         self.alpha = []
         self.step = []
         self.dist = [] if x_ref is not None else None
         self.psnr = [] if truth is not None else None
-        self.step_scaled = [] if scaled_diag is not None else None
 
     def record(self, k, a, x, x_prev):
         self.k.append(k)
@@ -181,9 +180,6 @@ class _TraceBuilder:
             self.dist.append(float(np.linalg.norm(x - self.x_ref)))
         if self.psnr is not None:
             self.psnr.append(psnr_vec(x, self.truth))
-        if self.step_scaled is not None:
-            d = x - x_prev
-            self.step_scaled.append(float(np.sqrt(d @ (self.scaled_diag * d))))
 
     def build(self, final, converged) -> SolverTrace:
         return SolverTrace(
@@ -195,7 +191,6 @@ class _TraceBuilder:
             final=final,
             converged=converged,
             iterations=len(self.k),
-            step_norm_scaled=None if self.step_scaled is None else np.array(self.step_scaled),
         )
 
 
@@ -224,16 +219,57 @@ def _guard_iterate(x: np.ndarray, k: int, bound: float) -> None:
         raise DivergenceError(k, "iterate norm exceeded the divergence guard")
 
 
-def _check_inputs(op: ForwardOp, b: np.ndarray, denoiser: KernelDenoiser, start: np.ndarray):
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    start = np.asarray(start, dtype=np.float64).reshape(-1)
-    if b.size != op.m:
-        raise ValueError(f"measurement length {b.size} != {op.m}")
-    if start.size != op.n:
-        raise ValueError(f"start length {start.size} != {op.n}")
-    if denoiser.n != op.n:
-        raise ValueError(f"denoiser size {denoiser.n} != {op.n}")
-    return b, start
+def _start(it: IterationOperator, x0: np.ndarray) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    if x0.size != it.n:
+        raise ValueError(f"start length {x0.size} != {it.n}")
+    return x0
+
+
+def _accelerate(
+    it: IterationOperator,
+    data: np.ndarray,
+    config: SolverConfig,
+    schedule: MomentumSchedule,
+    x0: np.ndarray,
+    truth: np.ndarray | None,
+    x_ref: np.ndarray | None,
+    x1: np.ndarray | None = None,
+    rebuild=None,
+) -> SolverTrace:
+    """The momentum loop of all three solvers:
+
+        x_{k+1} = P y_k + q,   y_k = x_k + alpha_k (x_k - x_{k-1}),   k >= 1,
+
+    with x -> P x + q given by ``it.step(x, data)``. The first iterate is
+    x_1 = P x_0 + q, or ``x1`` when given, in which case x_0 := x1 and the
+    zero first step does not count as convergence. ``rebuild(x)`` returns
+    the map for the next iteration during the first
+    ``config.guide_warmup_iters`` iterations. The loop stops when
+    ||x_k - x_{k-1}|| <= stop_tol ||x_k|| or after ``config.max_iter``
+    iterations, and raises DivergenceError on a non-finite iterate or one
+    whose norm exceeds 1e8 (1 + ||x_0||).
+    """
+    if config.guide_warmup_iters > 0 and rebuild is None:
+        raise ValueError("guide warm-up requires pnp_fista with a denoiser_factory")
+    guard = 1e8 * (1.0 + np.linalg.norm(x0))
+    tracer = _TraceBuilder(truth, x_ref)
+    x_prev = y = x0 if x1 is None else x1
+    converged = False
+    for k in range(1, config.max_iter + 1):
+        given = k == 1 and x1 is not None
+        x = x1 if given else it.step(y, data)
+        _guard_iterate(x, k, guard)
+        a = schedule.alpha(k)
+        tracer.record(k, a, x, x_prev)
+        converged = not given and bool(tracer.step[-1] <= config.stop_tol * np.linalg.norm(x))
+        y = x + a * (x - x_prev)
+        x_prev = x
+        if k <= config.guide_warmup_iters:
+            it = rebuild(x)
+        if converged:
+            break
+    return tracer.build(x_prev, converged)
 
 
 def pnp_fista(
@@ -246,7 +282,6 @@ def pnp_fista(
     truth: np.ndarray | None = None,
     x_ref: np.ndarray | None = None,
     denoiser_factory=None,
-    check_recurrence: bool = False,
 ) -> SolverTrace:
     """Denoiser-in-the-gradient-step iteration with momentum.
 
@@ -257,55 +292,13 @@ def pnp_fista(
     ``denoiser_factory``, together with ``config.guide_warmup_iters > 0``,
     rebuilds W from the current iterate during warm-up; afterwards W is
     frozen so the remaining iterations follow a fixed affine map.
-
-    ``check_recurrence`` verifies for ten iterations that the two-step update
-    matches the equivalent single recurrence
-    x_k = (1 + a_{k-1}) P x_{k-1} - a_{k-1} P x_{k-2} + q with
-    P = W (I - gamma A^T A) and q = gamma W A^T b.
     """
-    if config.gamma is None or config.gamma <= 0:
-        raise ValueError("config.gamma must be a positive step size")
-    if config.guide_warmup_iters > 0 and denoiser_factory is None:
-        raise ValueError("guide warm-up requires a denoiser_factory")
-    if check_recurrence and config.guide_warmup_iters > 0:
-        raise ValueError("recurrence check requires a frozen denoiser")
-    b, x0 = _check_inputs(op, b, denoiser, x0)
-    gamma = config.gamma
-    atb = op.adjoint(b)
-    W = denoiser.weights
-    guard = 1e8 * (1.0 + np.linalg.norm(x0))
-    tracer = _TraceBuilder(truth, x_ref)
-
-    step_map = lambda y: W @ (y - gamma * (op.gram(y) - atb))
-    p_map = lambda z: W @ (z - gamma * op.gram(z))
-
-    x_prev2 = None
-    x_prev = x0.copy()
-    y = x0.copy()
-    converged = False
-    for k in range(1, config.max_iter + 1):
-        x = step_map(y)
-        _guard_iterate(x, k, guard)
-        if check_recurrence and 2 <= k <= 11:
-            a_prev = schedule.alpha(k - 1)
-            shadow = (1.0 + a_prev) * p_map(x_prev) - a_prev * p_map(x_prev2) + gamma * (W @ atb)
-            defect = np.linalg.norm(x - shadow)
-            if defect > 1e-10 * (1.0 + np.linalg.norm(x)):
-                raise AssertionError(
-                    f"two-step update and single recurrence disagree at k={k}: {defect:.3e}"
-                )
-        a = schedule.alpha(k)
-        tracer.record(k, a, x, x_prev)
-        converged = bool(tracer.step[-1] <= config.stop_tol * np.linalg.norm(x))
-        y = x + a * (x - x_prev)
-        x_prev2, x_prev = x_prev, x
-        if k <= config.guide_warmup_iters:
-            denoiser = denoiser_factory(x)
-            W = denoiser.weights
-            step_map = lambda y: W @ (y - gamma * (op.gram(y) - atb))
-        if converged:
-            break
-    return tracer.build(x_prev, converged)
+    it = pnp_operator(op, denoiser, config.gamma)
+    rebuild = None
+    if denoiser_factory is not None:
+        rebuild = lambda x: pnp_operator(op, denoiser_factory(x), config.gamma)
+    return _accelerate(it, it.data_term(b), config, schedule, _start(it, x0), truth, x_ref,
+                       rebuild=rebuild)
 
 
 def red_apg(
@@ -329,32 +322,11 @@ def red_apg(
     which coincides with the beck schedule's alpha_1 = 0 behavior and keeps the
     update well-defined for schedules with alpha_1 != 0.
     """
-    if config.guide_warmup_iters > 0:
-        raise ValueError("guide warm-up is only supported by pnp_fista")
-    b, v = _check_inputs(op, b, denoiser, v0)
-    v = v.copy()
-    mu, theta = config.mu, config.theta
-    atb_mu = mu * op.adjoint(b)
-    W = denoiser.weights
-    guard = 1e8 * (1.0 + np.linalg.norm(v0))
-    tracer = _TraceBuilder(truth, x_ref)
-
-    x_prev = None
-    converged = False
-    for k in range(1, config.max_iter + 1):
-        x = solve_shifted_gram(op, mu, v + atb_mu)
-        _guard_iterate(x, k, guard)
-        if k == 1:
-            x_prev = x.copy()
-        a = schedule.alpha(k)
-        y = x + a * (x - x_prev)
-        v = theta * (W @ y) + (1.0 - theta) * y
-        tracer.record(k, a, x, x_prev)
-        converged = k >= 2 and bool(tracer.step[-1] <= config.stop_tol * np.linalg.norm(x))
-        x_prev = x
-        if converged:
-            break
-    return tracer.build(x_prev, converged)
+    it = red_operator(op, denoiser, config.mu, config.theta)
+    data = it.data_term(b)
+    v0 = _start(it, v0)
+    x1 = solve_shifted_gram(op, it.mu, v0 + data)
+    return _accelerate(it, data, config, schedule, v0, truth, x_ref, x1=x1)
 
 
 def scaled_pnp_fista(
@@ -375,33 +347,7 @@ def scaled_pnp_fista(
     self-adjoint in the D-weighted geometry). The step size should satisfy
     gamma < 1 / lambda_max(D^-1/2 A^T A D^-1/2); the unscaled bound
     1 / lambda_max(A^T A) is a valid, D-free fallback since all degrees
-    are >= 1. The trace additionally records step norms in the D-norm.
+    are >= 1.
     """
-    if config.gamma is None or config.gamma <= 0:
-        raise ValueError("config.gamma must be a positive step size")
-    if config.guide_warmup_iters > 0:
-        raise ValueError("guide warm-up is only supported by pnp_fista")
-    if denoiser.mode != "nlm":
-        raise ValueError("scaled iteration requires an nlm-mode denoiser")
-    b, x0 = _check_inputs(op, b, denoiser, x0)
-    gamma = config.gamma
-    dinv = 1.0 / denoiser.degrees
-    atb = op.adjoint(b)
-    W = denoiser.weights
-    guard = 1e8 * (1.0 + np.linalg.norm(x0))
-    tracer = _TraceBuilder(truth, x_ref, scaled_diag=denoiser.degrees)
-
-    x_prev = x0.copy()
-    y = x0.copy()
-    converged = False
-    for k in range(1, config.max_iter + 1):
-        x = W @ (y - gamma * (dinv * (op.gram(y) - atb)))
-        _guard_iterate(x, k, guard)
-        a = schedule.alpha(k)
-        tracer.record(k, a, x, x_prev)
-        converged = bool(tracer.step[-1] <= config.stop_tol * np.linalg.norm(x))
-        y = x + a * (x - x_prev)
-        x_prev = x
-        if converged:
-            break
-    return tracer.build(x_prev, converged)
+    it = scaled_operator(op, denoiser, config.gamma)
+    return _accelerate(it, it.data_term(b), config, schedule, _start(it, x0), truth, x_ref)

@@ -1,12 +1,16 @@
-"""Iteration operators of the three schemes and their spectral certification.
+"""The three schemes' update maps and their spectral certification.
 
-Each solver's frozen-momentum update is an affine map x -> P x + q. Whenever
-the spectral radius of P is below 1, the full momentum iteration converges
-globally and linearly, with asymptotic rate sqrt(rho(P)): the limiting
-two-step update has companion form [[2P, -P], [I, 0]], whose eigenvalues
-lie on |lambda| = sqrt(mu) for each eigenvalue mu of P.
+Each solver's frozen-momentum update is an affine map x -> P x + q, and
+``IterationOperator.step`` is the one place where the three maps are
+written: the solvers iterate it, and ``apply`` (P) and ``offset`` (q) are
+the same method with a zero data term or at x = 0. So the certified map is
+the iterated map. Whenever the spectral radius of P is below 1, the full
+momentum iteration converges globally and linearly, with asymptotic rate
+sqrt(rho(P)): the limiting two-step update has companion form
+[[2P, -P], [I, 0]], whose eigenvalues lie on |lambda| = sqrt(mu) for each
+eigenvalue mu of P.
 
-This module builds P for the three schemes, estimates rho(P) by power
+This module builds the map for the three schemes, estimates rho(P) by power
 iteration, derives the accelerated rate, verifies the convergence
 preconditions on the denoiser/operator pair, and provides dense small-n
 reference paths used for cross-checking.
@@ -15,27 +19,28 @@ reference paths used for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .fwdops import ForwardOp, PowerEstimate, lambda_max_gram
+from .fwdops import ForwardOp, PowerEstimate, lambda_max_gram, solve_shifted_gram
 from .imgcore import Rng, gaussian_noise
 from .kernel_denoise import DENSE_CAP, KernelDenoiser, symmetric_weights
-from .solvers import solve_shifted_gram
 
 
 @dataclass
 class IterationOperator:
-    """Matrix-free one-step update map of a solver with momentum frozen.
+    """One-step update map x -> P x + q of a solver with momentum frozen.
 
-    kinds:
-      pnp        -- P x = W (x - gamma A^T A x)
-      red        -- P x = (I + mu A^T A)^-1 (theta W + (1 - theta) I) x
-      scaled_pnp -- P x = W (x - gamma D^-1 A^T A x)
+    kinds, with data term d = A^T b (pnp kinds) or mu A^T b (red):
+      pnp        -- P x + q = W (x - gamma (A^T A x - d))
+      red        -- P x + q = (I + mu A^T A)^-1 (theta W x + (1 - theta) x + d)
+      scaled_pnp -- P x + q = W (x - gamma D^-1 (A^T A x - d))
 
-    ``spectral_apply`` exposes a map with the same spectrum that is a product
-    of two symmetric PSD contractions, so power-iteration Rayleigh quotients
-    stay below 1; for the scaled kind this is the degree-symmetrized form.
+    ``spectral_apply`` exposes a map with the same spectrum as P that is a
+    product of two symmetric PSD contractions, so power-iteration Rayleigh
+    quotients stay below 1; for the scaled kind this is the
+    degree-symmetrized form.
     """
 
     kind: str
@@ -46,23 +51,41 @@ class IterationOperator:
     theta: float | None = None
     _dinv: np.ndarray | None = field(default=None, repr=False)
     _dsqrt_inv: np.ndarray | None = field(default=None, repr=False)
-    _w_sym: object = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.op.n
 
+    @cached_property
+    def _w_sym(self):
+        return symmetric_weights(self.denoiser)
+
+    def data_term(self, b: np.ndarray) -> np.ndarray:
+        """The data term d of ``step`` for measurements b."""
+        b = np.asarray(b, dtype=np.float64).reshape(-1)
+        if b.size != self.op.m:
+            raise ValueError(f"measurement length {b.size} != {self.op.m}")
+        atb = self.op.adjoint(b)
+        return self.mu * atb if self.kind == "red" else atb
+
+    def step(self, x: np.ndarray, data: np.ndarray | float) -> np.ndarray:
+        """P x + q for a precomputed data term d from ``data_term``; d = 0.0 gives P x.
+
+        The solvers iterate this method, so it takes no copies and no checks.
+        """
+        W = self.denoiser.weights
+        if self.kind == "pnp":
+            return W @ (x - self.gamma * (self.op.gram(x) - data))
+        if self.kind == "scaled_pnp":
+            return W @ (x - self.gamma * (self._dinv * (self.op.gram(x) - data)))
+        blended = self.theta * (W @ x) + (1.0 - self.theta) * x
+        return solve_shifted_gram(self.op, self.mu, blended + data)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.size}")
-        W = self.denoiser.weights
-        if self.kind == "pnp":
-            return W @ (x - self.gamma * self.op.gram(x))
-        if self.kind == "scaled_pnp":
-            return W @ (x - self.gamma * (self._dinv * self.op.gram(x)))
-        blended = self.theta * (W @ x) + (1.0 - self.theta) * x
-        return solve_shifted_gram(self.op, self.mu, blended)
+        return self.step(x, 0.0)
 
     def spectral_apply(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "scaled_pnp":
@@ -72,16 +95,7 @@ class IterationOperator:
 
     def offset(self, b: np.ndarray) -> np.ndarray:
         """Constant term q of the affine update x -> P x + q for measurements b."""
-        b = np.asarray(b, dtype=np.float64).reshape(-1)
-        if b.size != self.op.m:
-            raise ValueError(f"measurement length {b.size} != {self.op.m}")
-        atb = self.op.adjoint(b)
-        W = self.denoiser.weights
-        if self.kind == "pnp":
-            return self.gamma * (W @ atb)
-        if self.kind == "scaled_pnp":
-            return self.gamma * (W @ (self._dinv * atb))
-        return solve_shifted_gram(self.op, self.mu, self.mu * atb)
+        return self.step(np.zeros(self.n), self.data_term(b))
 
 
 def _check_pair(op: ForwardOp, denoiser: KernelDenoiser) -> None:
@@ -93,8 +107,8 @@ def pnp_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> Itera
     """The map may be built for any gamma >= 0 (gamma = 0 degenerates to W);
     certification simply fails outside the contractive interval."""
     _check_pair(op, denoiser)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if gamma is None or gamma < 0:
+        raise ValueError("gamma must be a nonnegative step size")
     return IterationOperator(kind="pnp", op=op, denoiser=denoiser, gamma=gamma)
 
 
@@ -114,15 +128,14 @@ def red_operator(
 
 def scaled_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
     _check_pair(op, denoiser)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if gamma is None or gamma < 0:
+        raise ValueError("gamma must be a nonnegative step size")
     if denoiser.mode != "nlm":
         raise ValueError("scaled iteration requires an nlm-mode denoiser")
-    it = IterationOperator(kind="scaled_pnp", op=op, denoiser=denoiser, gamma=gamma)
-    it._dinv = 1.0 / denoiser.degrees
-    it._dsqrt_inv = 1.0 / np.sqrt(denoiser.degrees)
-    it._w_sym = symmetric_weights(denoiser)
-    return it
+    return IterationOperator(
+        kind="scaled_pnp", op=op, denoiser=denoiser, gamma=gamma,
+        _dinv=1.0 / denoiser.degrees, _dsqrt_inv=1.0 / np.sqrt(denoiser.degrees),
+    )
 
 
 def spectral_radius(
@@ -337,7 +350,6 @@ class SpectralReport:
     certified: bool            # rho_accel < 1
     assumptions: AssumptionChecks
     gamma_interval: tuple[float, float]
-    eigenvalues: np.ndarray | None = None
     power_tol: float = 1e-10
 
     def csv_row(self) -> str:
@@ -375,9 +387,6 @@ class SpectralReport:
             "check_fix_gap_tol=1e-10",
             f"check_heuristic={str(a.heuristic).lower()}",
         ]
-        if self.eigenvalues is not None:
-            vals = ",".join(repr(float(v)) for v in self.eigenvalues)
-            lines.append(f"eigenvalues={vals}")
         return "\n".join(lines) + "\n"
 
 
@@ -386,19 +395,18 @@ def build_report(
     iter_op: IterationOperator,
     grid_value: float,
     lambda_hat: float,
+    checks: AssumptionChecks,
     power_tol: float = 1e-8,
     power_max_iter: int = 20000,
     rng: Rng | None = None,
-    dense_eigenvalues: bool = False,
 ) -> SpectralReport:
-    """Assemble a certification report for one iteration operator."""
+    """Assemble a certification report for one iteration operator.
+
+    ``checks`` comes from ``check_assumption`` on the same denoiser and
+    operator; it does not depend on the grid value, so sweeps compute it once.
+    """
     est = spectral_radius(iter_op, tol=power_tol, max_iter=power_max_iter, rng=rng)
     rho_r = accelerated_radius(max(est.value, 0.0))
-    checks = check_assumption(iter_op.denoiser, iter_op.op)
-    eigs = None
-    if dense_eigenvalues and iter_op.n <= DENSE_CAP:
-        _, eig = dense_oracle(iter_op.spectral_apply, iter_op.n)
-        eigs = np.sort(np.real(eig))
     return SpectralReport(
         task=task,
         denoiser_mode=iter_op.denoiser.mode,
@@ -408,6 +416,5 @@ def build_report(
         certified=rho_r < 1.0,
         assumptions=checks,
         gamma_interval=(0.0, 1.0 / lambda_hat),
-        eigenvalues=eigs,
         power_tol=power_tol,
     )

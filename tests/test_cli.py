@@ -268,6 +268,27 @@ class TestCertify:
         code = main(["certify", "--config", str(cfg_path), "--grid", "1.5"])
         assert code == EXIT_CONFIG
 
+    def test_close_grid_values_get_separate_reports(self, tmp_path):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        code = main(["certify", "--config", str(cfg_path), "--grid", "0.5,0.5000001,1",
+                     "--power-max-iter", "200"])
+        assert code == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "out" / "reports").glob("*.txt"))
+        assert names == ["pnp_fista_0_5.txt", "pnp_fista_0_5000001.txt", "pnp_fista_1.txt"]
+        rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[1:]
+        for name, row in zip(names, rows):
+            kv = read_kv(tmp_path / "out" / "reports" / name)
+            assert kv["gamma_or_invL"] == row.split(",")[2]
+
+    @pytest.mark.parametrize("grid", ["0.5,0.5", "0.5,5e-1", "1e-06,1e+06"])
+    def test_colliding_grid_values_rejected(self, tmp_path, grid):
+        # 1e-06 and 1e+06 would both write reports/pnp_fista_1e_06.txt
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path)
+        assert main(["certify", "--config", str(cfg_path), "--grid", grid]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
 
 class TestSchedules:
     def test_two_schedules(self, tmp_path):

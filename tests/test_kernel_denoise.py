@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage, sparse
+from scipy import ndimage
 
 from pnpcert import (
     Image,
@@ -22,7 +22,7 @@ from pnpcert import (
     observe,
     psnr,
 )
-from pnpcert.kernel_denoise import dense_weights, dump_kernel, symmetric_weights
+from pnpcert.kernel_denoise import symmetric_weights
 
 from conftest import synthetic_image
 
@@ -194,7 +194,7 @@ class TestApplyW:
 
     def test_basis_vector_extracts_column(self):
         den = build_denoiser(random_guide(5, 5, 18), KernelParams(1, 1, 0.1), "nlm")
-        W = dense_weights(den)
+        W = den.weights.toarray()
         for i in (0, 7, 24):
             e = np.zeros(25)
             e[i] = 1.0
@@ -251,28 +251,3 @@ class TestMakeGuide:
         op = make_blur(8, 8, gaussian_kernel(3, 1.0))
         with pytest.raises(ValueError):
             make_guide("sharpen", np.zeros(64), op)
-
-
-class TestDump:
-    def test_triplet_format_sorted(self, tmp_path):
-        den = build_denoiser(random_guide(4, 4, 21), KernelParams(1, 1, 0.1), "dsg")
-        path = tmp_path / "kernel.txt"
-        dump_kernel(den.kernel, path)
-        lines = path.read_text().splitlines()
-        triplets = [line.split() for line in lines]
-        keys = [(int(a), int(b)) for a, b, _ in triplets]
-        assert keys == sorted(keys)
-        rebuilt = sparse.coo_matrix(
-            (
-                [float(v) for _, _, v in triplets],
-                ([int(a) for a, _, _ in triplets], [int(b) for _, b, _ in triplets]),
-            ),
-            shape=(16, 16),
-        ).toarray()
-        assert np.array_equal(rebuilt, den.kernel.toarray())
-
-
-class TestWarmupSupport:
-    def test_dense_cap(self):
-        den = build_denoiser(random_guide(4, 4, 22), KernelParams(1, 1, 0.1), "dsg")
-        assert dense_weights(den).shape == (16, 16)

@@ -196,16 +196,6 @@ class TestPnpFista:
         assert np.linalg.norm(first_step - x_star) <= 1e-10 * (1 + np.linalg.norm(x_star))
         assert np.linalg.norm(trace.final - x_star) <= 1e-9
 
-    def test_recurrence_cross_check(self):
-        _, op, b, den = inpaint_problem()
-        gamma = 0.9 / lambda_max_gram(op).value
-        config = SolverConfig(gamma=gamma, max_iter=15)
-        # raises internally if the two-step form and the recurrence disagree
-        pnp_fista(op, b, den, config, MomentumSchedule("beck"), np.zeros(op.n),
-                  check_recurrence=True)
-        pnp_fista(op, b, den, config, MomentumSchedule("log1p"), np.zeros(op.n),
-                  check_recurrence=True)
-
     def test_tail_rate_within_certified_bound(self):
         _, op, b, den = inpaint_problem()
         gamma = 0.9 / lambda_max_gram(op).value
@@ -369,15 +359,6 @@ class TestScaledPnpFista:
         t1 = scaled_pnp_fista(op, b, den, config, sched, Rng(52).uniforms(op.n))
         assert np.linalg.norm(t0.final - t1.final) / np.linalg.norm(t0.final) <= 1e-6
 
-    def test_records_degree_weighted_steps(self):
-        _, op, b, den = inpaint_problem(mode="nlm")
-        config = SolverConfig(gamma=0.3, max_iter=10)
-        trace = scaled_pnp_fista(op, b, den, config, MomentumSchedule("beck"),
-                                 np.zeros(op.n))
-        assert trace.step_norm_scaled is not None
-        # degrees >= 1, so the weighted norm dominates the euclidean one
-        assert np.all(trace.step_norm_scaled >= trace.step_norm - 1e-12)
-
 
 class TestTraceCsv:
     def test_full_columns(self, tmp_path):
@@ -420,3 +401,29 @@ def test_step_map_is_affine(seed):
     lhs = (it.apply(x) + q) - (it.apply(y) + q)
     rhs = it.apply(x - y)
     assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["pnp", "red", "scaled"])
+def test_matches_hand_rolled_recurrence(kind):
+    # x_{k+1} = P y_k + q, y_k = x_k + alpha_k (x_k - x_{k-1}), from apply/offset
+    _, op, b, den = inpaint_problem(mode="nlm" if kind == "scaled" else "dsg")
+    sched = MomentumSchedule("log1p")  # alpha_1 != 0 exercises the start
+    x0 = Rng(53).uniforms(op.n)
+    if kind == "red":
+        config = SolverConfig(lam=1.0, L=2.0, max_iter=25, stop_tol=0.0)
+        it = red_operator(op, den, config.mu, config.theta)
+        trace = red_apg(op, b, den, config, sched, x0)
+        x = x_prev = prox_quadratic(op, b, config.mu, x0)
+    else:
+        config = SolverConfig(gamma=0.45, max_iter=25, stop_tol=0.0)
+        make, solve = {"pnp": (pnp_operator, pnp_fista),
+                       "scaled": (scaled_operator, scaled_pnp_fista)}[kind]
+        it = make(op, den, config.gamma)
+        trace = solve(op, b, den, config, sched, x0)
+        x_prev, x = x0, it.apply(x0) + it.offset(b)
+    q = it.offset(b)
+    for k in range(1, config.max_iter):
+        y = x + sched.alpha(k) * (x - x_prev)
+        x_prev, x = x, it.apply(y) + q
+    assert trace.iterations == config.max_iter
+    assert np.linalg.norm(trace.final - x) <= 1e-12 * np.linalg.norm(x)

@@ -84,6 +84,16 @@ class TestApplyP:
         expected = den.weights @ (x - gamma * (dinv * op.gram(x)))
         assert np.abs(it.apply(x) - expected).max() <= 1e-14
 
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_offset_matches_definition(self, mode):
+        # q = gamma W A^T b for pnp and gamma W D^-1 A^T b for the scaled map
+        op, b, den = small_problem(mode=mode)
+        gamma = 0.4
+        it = (pnp_operator if mode == "dsg" else scaled_operator)(op, den, gamma)
+        scale = np.ones(op.n) if mode == "dsg" else 1.0 / den.degrees
+        expected = gamma * (den.weights @ (scale * op.adjoint(b)))
+        assert np.abs(it.offset(b) - expected).max() <= 1e-14
+
     def test_red_offset_solves_regularized_system(self):
         op, b, den = small_problem()
         mu = 0.5
@@ -316,8 +326,10 @@ class TestReport:
         op, _, den = small_problem()
         lam_hat = lambda_max_gram(op).value
         it = pnp_operator(op, den, 0.9 / lam_hat)
-        report = build_report("inpaint", it, 0.9, lam_hat, power_tol=1e-10,
-                              rng=Rng(13), dense_eigenvalues=True)
+        checks = check_assumption(den, op)
+        report = build_report("inpaint", it, 0.9, lam_hat, checks, power_tol=1e-10,
+                              rng=Rng(13))
+        assert report.assumptions is checks
         assert report.certified
         assert report.rho_accel == pytest.approx(np.sqrt(report.rho_step.value))
         row = report.csv_row()
@@ -326,7 +338,6 @@ class TestReport:
         assert fields[5] == "true"
         kv = report.to_kv()
         assert "rho_P=" in kv and "rho_R=" in kv and "certified=true" in kv
-        assert "eigenvalues=" in kv
 
     def test_header_shape(self):
         from pnpcert.spectral import SWEEP_CSV_HEADER
