@@ -102,6 +102,8 @@ def parse_config(path) -> ExperimentConfig:
             values[key] = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {value!r}") from None
+        if _PARSERS[key] is float and not np.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
     cfg = ExperimentConfig(**{_FIELD_FOR_KEY[k]: v for k, v in values.items()})
     _validate_config(cfg)
     return cfg
@@ -353,8 +355,8 @@ def _parse_grid(text: str) -> list[float]:
         values = [float(item) for item in items]
     except ValueError as exc:
         raise ConfigError(f"invalid grid value: {exc}") from None
-    if any(v <= 0 for v in values):
-        raise ConfigError("grid values must be positive")
+    if not all(0 < v < np.inf for v in values):
+        raise ConfigError("grid values must be positive and finite")
     labels = [_grid_label(v) for v in values]
     if len(set(labels)) != len(labels):
         raise ConfigError("grid values must be distinct: each names a report file")
@@ -449,8 +451,8 @@ def cmd_denoise(args) -> int:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "gamma", None) is not None:
-        if args.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        if not 0 < args.gamma < np.inf:
+            raise ConfigError("gamma must be positive and finite")
         updates["gamma"] = args.gamma
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed

@@ -41,6 +41,32 @@ class PowerEstimate:
     iterations: int
 
 
+def power_iteration(apply, v0: np.ndarray, tol: float, max_iter: int) -> PowerEstimate:
+    """Power iteration with Rayleigh-quotient estimates, from start vector v0.
+
+    Stops when successive estimates differ by less than tol * estimate, or
+    with 0 when the map sends the iterate to zero; after max_iter steps it
+    returns the last estimate flagged as not converged.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    v = v0 / np.linalg.norm(v0)
+    est_prev = np.inf
+    for it in range(1, max_iter + 1):
+        w = apply(v)
+        est = float(v @ w)
+        if abs(est - est_prev) < tol * max(abs(est), np.finfo(float).tiny):
+            return PowerEstimate(est, True, it)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return PowerEstimate(0.0, True, it)
+        v = w / nw
+        est_prev = est
+    return PowerEstimate(est_prev, False, max_iter)
+
+
 @dataclass(frozen=True)
 class ForwardOp:
     """Linear measurement operator A acting on flat row-major images."""
@@ -240,30 +266,15 @@ def lambda_max_gram(
     rescaled Gram map diag(d)^-1/2 A^T A diag(d)^-1/2 by power iteration
     from a fixed seeded start.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if diag is None:
         top = 1.0 if op.kind == "inpaint" else float(op.aat_symbol.max())
         return PowerEstimate(top, True, 0)
-    n = op.n
-    diag = _check_len(diag, n)
+    diag = _check_len(diag, op.n)
     if np.any(diag <= 0):
         raise ValueError("diag entries must be positive")
     dis = 1.0 / np.sqrt(diag)
-    v = gaussian_noise(Rng(_POWER_SEED), n, 1.0)
-    v /= np.linalg.norm(v)
-    est_prev = np.inf
-    for it in range(1, max_iter + 1):
-        w = dis * op.gram(dis * v)
-        est = float(v @ w)
-        if abs(est - est_prev) < tol * max(abs(est), np.finfo(float).tiny):
-            return PowerEstimate(est, True, it)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return PowerEstimate(0.0, True, it)
-        v = w / nw
-        est_prev = est
-    return PowerEstimate(est_prev, False, max_iter)
+    v0 = gaussian_noise(Rng(_POWER_SEED), op.n, 1.0)
+    return power_iteration(lambda v: dis * op.gram(dis * v), v0, tol, max_iter)
 
 
 def export_mask(op: ForwardOp) -> Image:

@@ -13,7 +13,9 @@ eigenvalue mu of P.
 This module builds the map for the three schemes, estimates rho(P) by power
 iteration, derives the accelerated rate, verifies the convergence
 preconditions on the denoiser/operator pair, and provides dense small-n
-reference paths used for cross-checking.
+reference paths used for cross-checking. The preconditions on the spectrum
+of W are decided at every n by one sparse symmetric Lanczos solve (ARPACK;
+Lehoucq, Sorensen & Yang, SIAM 1998) on W or its symmetric similar form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fwdops import ForwardOp, PowerEstimate, lambda_max_gram, solve_shifted_gram
+from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
+    ForwardOp, PowerEstimate, lambda_max_gram, power_iteration, solve_shifted_gram,
+)
 from .imgcore import Rng, gaussian_noise
 from .kernel_denoise import DENSE_CAP, KernelDenoiser, symmetric_weights
 
@@ -151,23 +155,8 @@ def spectral_radius(
     the dominant eigenvalue. Stops when successive estimates differ by
     less than tol * estimate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = rng if rng is not None else Rng(0x51B7)
-    v = gaussian_noise(rng, iter_op.n, 1.0)
-    v /= np.linalg.norm(v)
-    est_prev = np.inf
-    for it in range(1, max_iter + 1):
-        w = iter_op.spectral_apply(v)
-        est = float(v @ w)
-        if abs(est - est_prev) < tol * max(abs(est), np.finfo(float).tiny):
-            return PowerEstimate(est, True, it)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return PowerEstimate(0.0, True, it)
-        v = w / nw
-        est_prev = est
-    return PowerEstimate(est_prev, False, max_iter)
+    v0 = gaussian_noise(rng if rng is not None else Rng(0x51B7), iter_op.n, 1.0)
+    return power_iteration(iter_op.spectral_apply, v0, tol, max_iter)
 
 
 def accelerated_radius(step_radius: float) -> float:
@@ -249,89 +238,48 @@ class AssumptionChecks:
     stochastic_defect: float
     forward_ok: bool          # A 1 != 0
     forward_one_norm: float
-    spectrum_checked: bool    # dense spectrum test ran (small n only)
-    spectrum_ok: bool
+    spectrum_ok: bool         # spectrum of W in [0, 1]
     spectrum_low: float
     spectrum_high: float
     fix_ok: bool              # eigenvalue 1 is simple: fixed vectors are the constants
     second_eigenvalue: float
-    heuristic: bool           # large-n nlm deflation is approximate
 
     def all_ok(self) -> bool:
-        return self.stochastic_ok and self.forward_ok and self.fix_ok and (
-            self.spectrum_ok or not self.spectrum_checked
-        )
+        return self.stochastic_ok and self.forward_ok and self.spectrum_ok and self.fix_ok
 
 
-def check_assumption(
-    denoiser: KernelDenoiser, op, n_small_cap: int = DENSE_CAP
-) -> AssumptionChecks:
+def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     """Verify stochasticity of W, A 1 != 0, the spectrum of W, and simplicity
     of the eigenvalue 1.
 
-    At n <= n_small_cap the spectrum checks use a dense symmetric eigensolver
-    (on the degree-symmetrized similar form for nlm weights). Above the cap,
-    the second eigenvalue is estimated by power iteration on the complement
-    of the constants (mean removal); for nlm weights this deflation is only
-    approximate and the result is flagged heuristic.
+    The spectrum checks read the lowest and the two highest eigenvalues of W
+    from one sparse symmetric Lanczos solve (ARPACK ``eigsh``, both ends) on
+    W for dsg weights, or on its degree-symmetrized similar form
+    D^1/2 W D^-1/2 for nlm weights. The same path, with tolerance 1e-12,
+    serves every n >= 4; the start vector is seeded, so reports are
+    deterministic.
     """
+    # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
+    from scipy.sparse.linalg import eigsh
+
     n = denoiser.n
     ones = np.ones(n)
     defect = float(np.abs(denoiser.weights @ ones - ones).max())
-    stochastic_ok = defect <= 1e-10
     a_one = float(np.linalg.norm(op.apply(ones)))
-    forward_ok = a_one > 1e-10 * np.sqrt(n)
-
-    if n <= n_small_cap:
-        if denoiser.mode == "dsg":
-            dense = denoiser.weights.toarray()
-        else:
-            dense = symmetric_weights(denoiser).toarray()
-        eig = np.sort(np.linalg.eigvalsh(dense))
-        low, high = float(eig[0]), float(eig[-1])
-        second = float(eig[-2]) if n >= 2 else float("-inf")
-        return AssumptionChecks(
-            stochastic_ok=stochastic_ok,
-            stochastic_defect=defect,
-            forward_ok=forward_ok,
-            forward_one_norm=a_one,
-            spectrum_checked=True,
-            spectrum_ok=(low >= -1e-8 and high <= 1.0 + 1e-8),
-            spectrum_low=low,
-            spectrum_high=high,
-            fix_ok=second <= 1.0 - 1e-10,
-            second_eigenvalue=second,
-            heuristic=False,
-        )
-
-    rng = Rng(0xDEF1A7E)
-    v = gaussian_noise(rng, n, 1.0)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    est_prev, est = np.inf, 0.0
-    for _ in range(5000):
-        w = denoiser.weights @ v
-        w -= w.mean()
-        est = float(v @ w)
-        if abs(est - est_prev) < 1e-10 * max(abs(est), 1e-300):
-            break
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        est_prev = est
+    sym = denoiser.weights if denoiser.mode == "dsg" else symmetric_weights(denoiser)
+    v0 = gaussian_noise(Rng(0xDEF1A7E), n, 1.0)
+    ends = eigsh(sym, k=3, which="BE", v0=v0, tol=1e-12, return_eigenvectors=False)
+    low, second, high = (float(v) for v in np.sort(ends))
     return AssumptionChecks(
-        stochastic_ok=stochastic_ok,
+        stochastic_ok=defect <= 1e-10,
         stochastic_defect=defect,
-        forward_ok=forward_ok,
+        forward_ok=a_one > 1e-10 * np.sqrt(n),
         forward_one_norm=a_one,
-        spectrum_checked=False,
-        spectrum_ok=True,
-        spectrum_low=float("nan"),
-        spectrum_high=float("nan"),
-        fix_ok=est <= 1.0 - 1e-10,
-        second_eigenvalue=est,
-        heuristic=denoiser.mode == "nlm",
+        spectrum_ok=low >= -1e-8 and high <= 1.0 + 1e-8,
+        spectrum_low=low,
+        spectrum_high=high,
+        fix_ok=second <= 1.0 - 1e-10,
+        second_eigenvalue=second,
     )
 
 
@@ -377,7 +325,9 @@ class SpectralReport:
             "check_stochastic_tol=1e-10",
             f"check_forward_one={str(a.forward_ok).lower()}",
             f"check_forward_one_norm={a.forward_one_norm!r}",
-            f"check_spectrum_ran={str(a.spectrum_checked).lower()}",
+            # constant: the spectrum check runs at every n; the key and
+            # check_heuristic stay so that parsers of the key list keep working
+            "check_spectrum_ran=true",
             f"check_spectrum={str(a.spectrum_ok).lower()}",
             f"check_spectrum_low={a.spectrum_low!r}",
             f"check_spectrum_high={a.spectrum_high!r}",
@@ -385,7 +335,7 @@ class SpectralReport:
             f"check_fix_simple={str(a.fix_ok).lower()}",
             f"second_eigenvalue={a.second_eigenvalue!r}",
             "check_fix_gap_tol=1e-10",
-            f"check_heuristic={str(a.heuristic).lower()}",
+            "check_heuristic=false",
         ]
         return "\n".join(lines) + "\n"
 

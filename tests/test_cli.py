@@ -93,6 +93,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mask_fraction"):
             parse_config(path)
 
+    @pytest.mark.parametrize("line", ["gamma = inf", "gamma = nan", "stop_tol = -inf"])
+    def test_non_finite_float_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(path)
+
     def test_lambda_key_maps(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("lambda = 2.5\n")
@@ -167,6 +174,19 @@ class TestRun:
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint", gamma=5000.0, max_iter=500)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_DIVERGENCE
+
+    def test_infinite_gamma_is_config_error(self, tmp_path):
+        # not a divergence: the value never reaches the solver
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", gamma="inf")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_override_rejected(self, tmp_path, gamma):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        assert main(["run", "--config", str(cfg_path), "--gamma", gamma]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bare.cfg"
@@ -267,6 +287,24 @@ class TestCertify:
         cfg_path = write_config(tmp_path, algorithm="red_apg")
         code = main(["certify", "--config", str(cfg_path), "--grid", "1.5"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["nan,inf", "nan", "0.5,inf"])
+    def test_non_finite_grid_rejected(self, tmp_path, grid):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        assert main(["certify", "--config", str(cfg_path), "--grid", grid]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--power-max-iter", "0"), ("--power-max-iter", "-3"),
+        ("--power-tol", "nan"), ("--power-tol", "0"),
+    ])
+    def test_invalid_power_arguments_rejected(self, tmp_path, flag, value):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        code = main(["certify", "--config", str(cfg_path), "--grid", "0.5", flag, value])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out" / "certify.csv").exists()
 
     def test_close_grid_values_get_separate_reports(self, tmp_path):
         write_truth(tmp_path)

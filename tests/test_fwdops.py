@@ -226,6 +226,12 @@ class TestLambdaMax:
         assert not est.converged
         assert est.iterations == 3
 
+    @pytest.mark.parametrize("tol, max_iter", [(np.nan, 10), (0.0, 10), (1e-8, 0)])
+    def test_scaled_invalid_arguments_rejected(self, tol, max_iter):
+        op = make_blur(8, 8, gaussian_kernel(5, 1.2))
+        with pytest.raises(ValueError):
+            lambda_max_gram(op, tol=tol, max_iter=max_iter, diag=np.ones(64))
+
     def test_exact_without_iterations(self):
         for op in _operators_8x8():
             est = lambda_max_gram(op)

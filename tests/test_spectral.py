@@ -148,6 +148,14 @@ class TestSpectralRadius:
         est = spectral_radius(it, tol=1e-16, max_iter=2, rng=Rng(9))
         assert not est.converged
 
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 10), (-1e-8, 10), (np.nan, 10),
+                                               (1e-8, 0), (1e-8, -1)])
+    def test_invalid_arguments_rejected(self, tol, max_iter):
+        op, _, den = small_problem()
+        it = pnp_operator(op, den, 0.7)
+        with pytest.raises(ValueError):
+            spectral_radius(it, tol=tol, max_iter=max_iter)
+
     def test_power_vs_dense_at_n256(self):
         op, _, den = small_problem(rows=16, cols=16)
         gamma = 0.9 / lambda_max_gram(op).value
@@ -243,7 +251,7 @@ class TestCheckAssumption:
         checks = check_assumption(den, op)
         assert checks.stochastic_ok
         assert checks.forward_ok
-        assert checks.spectrum_checked and checks.spectrum_ok
+        assert checks.spectrum_ok
         assert checks.fix_ok
         assert checks.all_ok()
 
@@ -262,17 +270,29 @@ class TestCheckAssumption:
         assert not checks.fix_ok
         assert not checks.all_ok()
 
-    def test_large_n_deflated_path(self):
-        op, _, den = small_problem()
-        checks = check_assumption(den, op, n_small_cap=10)
-        assert not checks.spectrum_checked
-        assert checks.fix_ok
-        assert checks.second_eigenvalue < 1.0
+    @pytest.mark.parametrize("window", ["box", "hat"])
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (9, 8),
+                                            (12, 12)])
+    def test_matches_dense_eigenvalues(self, rows, cols, mode, window):
+        den = build_denoiser(synthetic_image(rows, cols), KernelParams(1, 2, 0.15, window), mode)
+        sym = den.weights if mode == "dsg" else symmetric_weights(den)
+        eig = np.linalg.eigvalsh(sym.toarray())
+        checks = check_assumption(den, make_inpaint(rows, cols, 0.5, Rng(3)))
+        assert checks.spectrum_low == pytest.approx(eig[0], abs=1e-12)
+        assert checks.second_eigenvalue == pytest.approx(eig[-2], abs=1e-12)
+        assert checks.spectrum_high == pytest.approx(eig[-1], abs=1e-12)
 
-    def test_nlm_large_n_flagged_heuristic(self):
-        op, _, den = small_problem(mode="nlm")
-        checks = check_assumption(den, op, n_small_cap=10)
-        assert checks.heuristic
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_indefinite_weights_above_dense_size(self, mode):
+        # n = 4356: a box window makes W indefinite (lambda_min -0.072 for
+        # dsg, -0.235 for nlm), and the spectrum check must see it at this n
+        op = make_inpaint(66, 66, 0.3, Rng(15))
+        den = build_denoiser(synthetic_image(66, 66), KernelParams(1, 2, 0.15, "box"), mode)
+        checks = check_assumption(den, op)
+        assert checks.spectrum_low < -0.05
+        assert not checks.spectrum_ok
+        assert not checks.all_ok()
 
     def test_box_window_indefiniteness_is_flagged(self):
         # box windows on smooth guides can make W indefinite; the certifier
@@ -280,7 +300,6 @@ class TestCheckAssumption:
         op = make_inpaint(8, 8, 0.3, Rng(14))
         den = build_denoiser(synthetic_image(8, 8), KernelParams(1, 2, 0.15, "box"), "dsg")
         checks = check_assumption(den, op)
-        assert checks.spectrum_checked
         assert not checks.spectrum_ok
         assert checks.spectrum_low < -1e-8
 
