@@ -47,7 +47,6 @@ from .spectral import (
     SpectralReport,
     accelerated_radius,
     check_assumption,
-    dense_oracle,
     fixed_point,
     pnp_operator,
     red_operator,
@@ -64,6 +63,6 @@ __all__ = [
     "MomentumSchedule", "SolverConfig", "SolverTrace", "parse_schedule",
     "pnp_fista", "prox_quadratic", "red_apg", "scaled_pnp_fista",
     "IterationOperator", "SpectralReport", "accelerated_radius",
-    "check_assumption", "dense_oracle", "fixed_point", "pnp_operator",
+    "check_assumption", "fixed_point", "pnp_operator",
     "red_operator", "scaled_operator", "spectral_radius",
 ]

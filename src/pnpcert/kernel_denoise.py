@@ -5,6 +5,8 @@ distance, masked by a window function around i. Two normalizations of the
 affinity matrix K are provided: the row-stochastic non-local-means weights
 D^-1 K, and the symmetric doubly stochastic variant (DSG-NLM) built from
 the two-sided normalization D^-1/2 K D^-1/2 plus a diagonal correction.
+K's CSR arrays are filled directly from its window stencil; W scales a new
+data vector and shares K's index arrays.
 
 Both act on images as a fixed sparse matrix-vector product once built, so
 the denoiser is an exactly linear map.
@@ -20,9 +22,6 @@ from scipy import ndimage, sparse
 
 from .fwdops import ForwardOp
 from .imgcore import Image
-
-DENSE_CAP = 4096  # largest n for which dense materialization paths are allowed
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -51,9 +50,9 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class KernelDenoiser:
-    """Sparse affinity matrix K, its row sums D, and normalized weights W."""
+    """Weights W sharing the index arrays of K, and D; dsg keeps no K."""
 
-    kernel: sparse.csr_matrix   # K, symmetric nonnegative, positive diagonal
+    kernel: sparse.csr_matrix | None  # K, symmetric nonnegative, positive diagonal
     degrees: np.ndarray         # D = K 1
     weights: sparse.csr_matrix  # W, row-stochastic
     mode: str                   # "nlm" | "dsg"
@@ -71,13 +70,31 @@ def _window_value(di: int, dj: int, params: KernelParams) -> float:
     return (1.0 - abs(di) / (r + 1.0)) * (1.0 - abs(dj) / (r + 1.0))
 
 
+def _stencil(size: int, wr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position on one axis: the in-image window offsets below it, and in all."""
+    below = np.minimum(np.arange(size), wr)
+    return below, below + np.minimum(np.arange(size)[::-1], wr) + 1
+
+
+def _kernel_nnz(rows: int, cols: int, wr: int) -> int:
+    return int(_stencil(rows, wr)[1].sum()) * int(_stencil(cols, wr)[1].sum())
+
+
+def _index_dtype(nnz: int, n: int) -> type:
+    """int32 CSR indices while nnz and n fit, as ``coo_matrix.tocsr()`` chooses."""
+    return np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+
+
 def build_kernel(guide: Image, params: KernelParams) -> sparse.csr_matrix:
     """Assemble the sparse affinity matrix from the guide image.
 
     K_ij = exp(-||patch_i - patch_j||^2 / (2 * bandwidth^2 * p)) * h(i - j)
     with p the patch pixel count. Patches use symmetric boundary reflection;
     the search window is truncated at image borders. Each unordered pair is
-    computed once and mirrored, so K is symmetric bitwise; K_ii = 1 exactly.
+    computed once and written to both of its slots, so K is symmetric
+    bitwise; K_ii = 1 exactly. Row (r, c) keeps offset (di, dj) at slot
+    diag[r, c] + di * nc[c] + dj, where diag[r, c] holds K_ii and nc[c]
+    counts the in-image column offsets.
     """
     rows, cols = guide.rows, guide.cols
     n = rows * cols
@@ -87,32 +104,42 @@ def build_kernel(guide: Image, params: KernelParams) -> sparse.csr_matrix:
     padded = np.pad(guide.grid(), pr, mode="symmetric")
     patches = sliding_window_view(padded, (side, side)).reshape(rows, cols, p)
     denom = 2.0 * params.bandwidth**2 * p
-    idx = np.arange(n).reshape(rows, cols)
-
-    ii_parts = [idx.ravel()]
-    jj_parts = [idx.ravel()]
-    val_parts = [np.ones(n)]
+    (below_r, nr), (below_c, nc) = _stencil(rows, wr), _stencil(cols, wr)
+    nnz = _kernel_nnz(rows, cols, wr)
+    indptr = np.zeros(n + 1, dtype=(itype := _index_dtype(nnz, n)))
+    np.cumsum(np.outer(nr, nc), out=indptr[1:], dtype=itype)
+    diag = indptr[:-1].reshape(rows, cols) + (below_r[:, None] * nc + below_c)
+    idx = np.arange(n, dtype=itype).reshape(rows, cols)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=itype)
+    data[diag], indices[diag] = 1.0, idx
     for di in range(0, wr + 1):
         for dj in range(-wr if di > 0 else 1, wr + 1):
             ra, rb = max(0, -di), min(rows, rows - di)
             ca, cb = max(0, -dj), min(cols, cols - dj)
             if ra >= rb or ca >= cb:
                 continue
-            pa = patches[ra:rb, ca:cb]
-            pb = patches[ra + di : rb + di, ca + dj : cb + dj]
-            d2 = ((pa - pb) ** 2).sum(axis=2)
-            vals = (np.exp(-d2 / denom) * _window_value(di, dj, params)).ravel()
-            ii = idx[ra:rb, ca:cb].ravel()
-            jj = idx[ra + di : rb + di, ca + dj : cb + dj].ravel()
-            ii_parts.extend((ii, jj))
-            jj_parts.extend((jj, ii))
-            val_parts.extend((vals, vals))
-    K = sparse.coo_matrix(
-        (np.concatenate(val_parts), (np.concatenate(ii_parts), np.concatenate(jj_parts))),
-        shape=(n, n),
-    ).tocsr()
-    K.sort_indices()
-    return K
+            a, b = np.s_[ra:rb, ca:cb], np.s_[ra + di : rb + di, ca + dj : cb + dj]
+            d2 = ((patches[a] - patches[b]) ** 2).sum(axis=2)
+            vals = np.exp(-d2 / denom) * _window_value(di, dj, params)
+            # pixel a stores offset (di, dj); its partner b stores (-di, -dj)
+            slot_a = diag[a] + (di * nc[ca:cb] + dj)
+            slot_b = diag[b] - (di * nc[ca + dj : cb + dj] + dj)
+            data[slot_a], indices[slot_a] = vals, idx[b]
+            data[slot_b], indices[slot_b] = vals, idx[a]
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+_CHUNK = 1 << 16  # entries per gather in _scaled
+
+
+def _scaled(kernel: sparse.csr_matrix, left: np.ndarray, right=None) -> sparse.csr_matrix:
+    """K_ij * left_i (* right_j) in K's CSR order; it shares K's index arrays."""
+    data = np.repeat(left, np.diff(kernel.indptr))
+    data *= kernel.data
+    if right is not None:  # gathered a chunk at a time: no second nnz-sized array
+        for s in range(0, data.size, _CHUNK):
+            data[s : s + _CHUNK] *= right[kernel.indices[s : s + _CHUNK]]
+    return sparse.csr_matrix((data, kernel.indices, kernel.indptr), shape=kernel.shape)
 
 
 def build_nlm(kernel: sparse.csr_matrix) -> KernelDenoiser:
@@ -120,8 +147,7 @@ def build_nlm(kernel: sparse.csr_matrix) -> KernelDenoiser:
     deg = np.asarray(kernel.sum(axis=1)).ravel()
     if np.any(deg <= 0):
         raise ValueError("affinity matrix has a nonpositive row sum")
-    W = sparse.csr_matrix(kernel.multiply(1.0 / deg[:, None]))
-    W.sort_indices()
+    W = _scaled(kernel, 1.0 / deg)
     return KernelDenoiser(kernel=kernel, degrees=deg, weights=W, mode="nlm")
 
 
@@ -130,18 +156,21 @@ def build_dsg(kernel: sparse.csr_matrix) -> KernelDenoiser:
 
     W = S / s_max + diag(1 - S 1 / s_max) with S = D^-1/2 K D^-1/2 and
     s_max the largest entry of S 1. The diagonal correction is nonnegative
-    by construction and restores exact row sums of 1.
+    by construction and restores exact row sums of 1; it is added in place
+    at the diagonal slots, which K must store.
     """
     deg = np.asarray(kernel.sum(axis=1)).ravel()
     if np.any(deg <= 0):
         raise ValueError("affinity matrix has a nonpositive row sum")
+    rows = np.arange(kernel.shape[0], dtype=kernel.indices.dtype)
+    diag = np.flatnonzero(kernel.indices == np.repeat(rows, np.diff(kernel.indptr)))
     dis = 1.0 / np.sqrt(deg)
-    S = kernel.multiply(dis[:, None]).multiply(dis[None, :]).tocsr()
-    one_hat = np.asarray(S.sum(axis=1)).ravel()
+    W = _scaled(kernel, dis, dis)
+    one_hat = np.asarray(W.sum(axis=1)).ravel()
     s_max = float(one_hat.max())
-    W = sparse.csr_matrix(S / s_max + sparse.diags(1.0 - one_hat / s_max))
-    W.sort_indices()
-    return KernelDenoiser(kernel=kernel, degrees=deg, weights=W, mode="dsg", norm_scale=s_max)
+    W.data *= 1 / s_max
+    W.data[diag] += 1.0 - one_hat / s_max
+    return KernelDenoiser(kernel=None, degrees=deg, weights=W, mode="dsg", norm_scale=s_max)
 
 
 def build_denoiser(guide: Image, params: KernelParams, mode: str) -> KernelDenoiser:
@@ -162,8 +191,10 @@ def apply_w(denoiser: KernelDenoiser, x: np.ndarray) -> np.ndarray:
 
 def symmetric_weights(denoiser: KernelDenoiser) -> sparse.csr_matrix:
     """Two-sided normalization D^-1/2 K D^-1/2; similar to the nlm weights."""
+    if denoiser.kernel is None:
+        raise ValueError("a dsg denoiser keeps no K; its weights are symmetric")
     dis = 1.0 / np.sqrt(denoiser.degrees)
-    return denoiser.kernel.multiply(dis[:, None]).multiply(dis[None, :]).tocsr()
+    return _scaled(denoiser.kernel, dis, dis)
 
 
 def make_guide(task: str, observed: np.ndarray, op: ForwardOp) -> Image:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from pnpcert import Image, Rng, gaussian_kernel, make_blur, make_inpaint, make_superres
+from pnpcert.kernel_denoise import _window_value
 
 
 def synthetic_grid(rows: int, cols: int) -> np.ndarray:
@@ -26,6 +29,107 @@ ORACLE_OPERATORS = {
     "superres 8x8 x2, 25 taps": lambda: make_superres(8, 8, gaussian_kernel(25, 1.6), 2),
     "superres 9x6 x3": lambda: make_superres(9, 6, gaussian_kernel(5, 1.0), 3),
 }
+
+
+DENSE_CAP = 4096  # largest n the dense reference paths materialize
+
+
+def materialize(apply_fn, n: int, cap: int = DENSE_CAP) -> np.ndarray:
+    """Dense matrix of a linear map, assembled column-by-column from basis vectors."""
+    if n > cap:
+        raise ValueError(f"dense materialization capped at n <= {cap}")
+    cols = np.empty((n, n))
+    e = np.zeros(n)
+    for i in range(n):
+        e[i] = 1.0
+        cols[:, i] = apply_fn(e)
+        e[i] = 0.0
+    return cols
+
+
+def dense_oracle(apply_fn, n: int, cap: int = DENSE_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize a map and return (matrix, eigenvalues).
+
+    Uses a symmetric eigensolver when the materialized matrix is symmetric to
+    rounding error, otherwise a general one (complex eigenvalues admitted).
+    """
+    mat = materialize(apply_fn, n, cap)
+    scale = np.abs(mat).max()
+    if np.abs(mat - mat.T).max() <= 1e-12 * (1.0 + scale):
+        return mat, np.linalg.eigvalsh(mat)
+    return mat, np.linalg.eigvals(mat)
+
+
+def momentum_companion(p_dense: np.ndarray) -> np.ndarray:
+    """Dense 2n x 2n companion matrix [[2P, -P], [I, 0]] of the limit update."""
+    n = p_dense.shape[0]
+    top = np.hstack([2.0 * p_dense, -p_dense])
+    bottom = np.hstack([np.eye(n), np.zeros((n, n))])
+    return np.vstack([top, bottom])
+
+
+def reference_kernel(guide: Image, params) -> sparse.csr_matrix:
+    """K as a COO matrix of mirrored offset blocks, converted and sorted.
+
+    The CSR assembly in ``build_kernel`` must reproduce it bitwise: the
+    values come from the same per-offset expression.
+    """
+    rows, cols = guide.rows, guide.cols
+    n = rows * cols
+    pr, wr = params.patch_radius, params.window_radius
+    side = 2 * pr + 1
+    p = side * side
+    padded = np.pad(guide.grid(), pr, mode="symmetric")
+    patches = sliding_window_view(padded, (side, side)).reshape(rows, cols, p)
+    denom = 2.0 * params.bandwidth**2 * p
+    idx = np.arange(n).reshape(rows, cols)
+    ii_parts, jj_parts, val_parts = [idx.ravel()], [idx.ravel()], [np.ones(n)]
+    for di in range(0, wr + 1):
+        for dj in range(-wr if di > 0 else 1, wr + 1):
+            ra, rb = max(0, -di), min(rows, rows - di)
+            ca, cb = max(0, -dj), min(cols, cols - dj)
+            if ra >= rb or ca >= cb:
+                continue
+            pa = patches[ra:rb, ca:cb]
+            pb = patches[ra + di : rb + di, ca + dj : cb + dj]
+            d2 = ((pa - pb) ** 2).sum(axis=2)
+            vals = (np.exp(-d2 / denom) * _window_value(di, dj, params)).ravel()
+            ii = idx[ra:rb, ca:cb].ravel()
+            jj = idx[ra + di : rb + di, ca + dj : cb + dj].ravel()
+            ii_parts.extend((ii, jj))
+            jj_parts.extend((jj, ii))
+            val_parts.extend((vals, vals))
+    K = sparse.coo_matrix(
+        (np.concatenate(val_parts), (np.concatenate(ii_parts), np.concatenate(jj_parts))),
+        shape=(n, n),
+    ).tocsr()
+    K.sort_indices()
+    return K
+
+
+def reference_nlm(K: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """(W, D) of the nlm weights by broadcasting ``multiply``."""
+    deg = np.asarray(K.sum(axis=1)).ravel()
+    W = sparse.csr_matrix(K.multiply(1.0 / deg[:, None]))
+    W.sort_indices()
+    return W, deg
+
+
+def reference_symmetric(K: sparse.csr_matrix, deg: np.ndarray) -> sparse.csr_matrix:
+    """S = D^-1/2 K D^-1/2 by broadcasting ``multiply``."""
+    dis = 1.0 / np.sqrt(deg)
+    return K.multiply(dis[:, None]).multiply(dis[None, :]).tocsr()
+
+
+def reference_dsg(K: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray, float]:
+    """(W, D, s_max) of the dsg weights by sparse sums: S / s_max + diag(1 - S 1 / s_max)."""
+    deg = np.asarray(K.sum(axis=1)).ravel()
+    S = reference_symmetric(K, deg)
+    one_hat = np.asarray(S.sum(axis=1)).ravel()
+    s_max = float(one_hat.max())
+    W = sparse.csr_matrix(S / s_max + sparse.diags(1.0 - one_hat / s_max))
+    W.sort_indices()
+    return W, deg, s_max
 
 
 def dense_forward(op):

@@ -47,9 +47,8 @@ from pnpcert import (
 from pnpcert.cli import main
 from pnpcert.imgcore import psnr_vec
 from pnpcert.kernel_denoise import symmetric_weights
-from pnpcert.spectral import dense_oracle, materialize, momentum_companion
 
-from conftest import synthetic_image
+from conftest import dense_oracle, materialize, momentum_companion, synthetic_image
 from test_kernel_denoise import brute_force_kernel
 
 

@@ -261,6 +261,22 @@ class TestCertify:
         assert len(reports) == 2
         assert "rho_P=" in reports[0].read_text()
 
+    def test_eigensolver_failure_is_reported(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_OK
+        (report,) = (tmp_path / "out" / "reports").glob("*.txt")
+        kv = read_kv(report)
+        assert kv["check_spectrum"] == "false"
+        assert kv["check_fix_simple"] == "false"
+        assert kv["check_spectrum_low"] == kv["second_eigenvalue"] == "nan"
+
     def test_deblur_gamma_interval_is_exact(self, tmp_path):
         # a normalized nonnegative kernel has lambda_max(A^T A) = H(0)^2 = 1
         write_truth(tmp_path)

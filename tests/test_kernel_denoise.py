@@ -1,6 +1,9 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -22,9 +25,15 @@ from pnpcert import (
     observe,
     psnr,
 )
-from pnpcert.kernel_denoise import symmetric_weights
+from pnpcert.kernel_denoise import _index_dtype, _kernel_nnz, symmetric_weights
 
-from conftest import synthetic_image
+from conftest import (
+    reference_dsg,
+    reference_kernel,
+    reference_nlm,
+    reference_symmetric,
+    synthetic_image,
+)
 
 
 def brute_force_kernel(guide: Image, params: KernelParams) -> np.ndarray:
@@ -107,6 +116,108 @@ class TestBuildKernel:
             KernelParams(window_shape="disk")
 
 
+def csr_arrays(M):
+    return M.data, M.indices, M.indptr
+
+
+def assert_same_csr(got, want):
+    for a, b in zip(csr_arrays(got), csr_arrays(want)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestCsrAssembly:
+    """Direct CSR assembly against the COO assembly and broadcasting
+    normalizations in ``conftest`` (bitwise)."""
+
+    @given(
+        shape=st.sampled_from([(1, 7), (7, 1), (2, 2), (9, 13)]),
+        patch_radius=st.integers(0, 2),
+        window_radius=st.integers(1, 14),  # up to wider than every shape
+        window_shape=st.sampled_from(["box", "hat"]),
+        bandwidth=st.floats(0.005, 1.0),  # below about 0.026 some affinities underflow to 0
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(shape=(9, 13), patch_radius=2, window_radius=14, window_shape="hat",
+             bandwidth=0.005, seed=3)  # underflowed affinities, window wider than the image
+    def test_matches_reference(self, shape, patch_radius, window_radius, window_shape,
+                               bandwidth, seed):
+        guide = random_guide(*shape, seed)
+        params = KernelParams(patch_radius, window_radius, bandwidth, window_shape)
+        K = build_kernel(guide, params)
+        ref = reference_kernel(guide, params)
+        assert_same_csr(K, ref)
+        assert K.has_canonical_format
+        before = [a.copy() for a in csr_arrays(K)]
+
+        nlm = build_nlm(K)
+        W_ref, deg_ref = reference_nlm(ref)
+        assert_same_csr(nlm.weights, W_ref)
+        assert np.array_equal(nlm.degrees, deg_ref)
+        assert_same_csr(symmetric_weights(nlm), reference_symmetric(ref, deg_ref))
+
+        dsg = build_dsg(K)
+        W_ref, deg_ref, s_max = reference_dsg(ref)
+        assert dsg.kernel is None
+        assert np.array_equal(dsg.degrees, deg_ref)
+        assert dsg.norm_scale == s_max
+        assert dsg.weights.has_canonical_format
+        # the sparse sum of the reference drops affinities that underflowed
+        # to 0; W keeps K's pattern, so its only extra entries are those zeros
+        assert np.array_equal(dsg.weights.toarray(), W_ref.toarray())
+        trimmed = dsg.weights.copy()
+        trimmed.eliminate_zeros()
+        assert_same_csr(trimmed, W_ref)
+        if not np.any(K.data == 0):
+            assert_same_csr(dsg.weights, W_ref)
+
+        # test_acceptance builds both normalizations from one K
+        for a, b in zip(csr_arrays(K), before):
+            assert np.array_equal(a, b)
+
+    def test_weights_share_kernel_index_arrays(self):
+        K = build_kernel(random_guide(6, 7, 22), KernelParams(1, 2, 0.1))
+        nlm, dsg = build_nlm(K), build_dsg(K)
+        assert nlm.kernel is K
+        for M in (nlm.weights, dsg.weights, symmetric_weights(nlm)):
+            assert np.shares_memory(M.indices, K.indices)
+            assert np.shares_memory(M.indptr, K.indptr)
+        with pytest.raises(ValueError):
+            symmetric_weights(dsg)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 13), (30, 17)])
+    @pytest.mark.parametrize("window_radius", [1, 3, 6])
+    def test_nnz_closed_form(self, rows, cols, window_radius):
+        K = build_kernel(random_guide(rows, cols, 23), KernelParams(0, window_radius, 0.1))
+        assert _kernel_nnz(rows, cols, window_radius) == K.nnz
+        assert K.indices.dtype == K.indptr.dtype == np.int32
+
+    def test_index_dtype_flips_at_2_31(self):
+        assert _index_dtype(2**31 - 1, 2**31 - 1) is np.int32
+        assert _index_dtype(2**31, 10) is np.int64
+        assert _index_dtype(10, 2**31) is np.int64
+
+
+class TestBuildMemory:
+    """tracemalloc sees numpy and scipy buffers; W stores 12 bytes per entry."""
+
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_peak_and_held_bytes(self, mode):
+        guide = random_guide(96, 96, 24)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            den = build_denoiser(guide, KernelParams(), mode)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w_bytes = sum(a.nbytes for a in csr_arrays(den.weights))
+        assert peak <= 3.0 * w_bytes
+        if mode == "dsg":  # W and the degrees only
+            assert held <= 1.1 * w_bytes
+
+
 class TestNlm:
     def test_constant_guide_rows(self):
         guide = Image(np.full(25, 0.3), 5, 5)
@@ -155,8 +266,10 @@ class TestDsg:
         # identical rows share one correction value, rows attaining the max
         # row sum get exactly zero, and the correction is never negative
         guide = Image(np.full(81, 0.5), 9, 9)
-        den = build_dsg(build_kernel(guide, KernelParams(1, 1, 0.1)))
-        one_hat = symmetric_weights(den) @ np.ones(81)
+        K = build_kernel(guide, KernelParams(1, 1, 0.1))
+        den = build_dsg(K)
+        # a dsg denoiser keeps no K: S = D^-1/2 K D^-1/2 comes from the nlm one
+        one_hat = symmetric_weights(build_nlm(K)) @ np.ones(81)
         corr = 1.0 - one_hat / den.norm_scale
         interior = corr.reshape(9, 9)[2:7, 2:7].ravel()
         assert np.all(interior == interior[0])

@@ -8,7 +8,6 @@ from pnpcert import (
     apply_w,
     build_denoiser,
     check_assumption,
-    dense_oracle,
     fixed_point,
     gaussian_kernel,
     gaussian_noise,
@@ -23,10 +22,10 @@ from pnpcert import (
     spectral_radius,
 )
 from pnpcert.kernel_denoise import KernelDenoiser, symmetric_weights
-from pnpcert.spectral import SpectralReport, build_report, materialize, momentum_companion
+from pnpcert.spectral import SpectralReport, build_report
 from scipy import sparse
 
-from conftest import synthetic_image
+from conftest import dense_oracle, materialize, momentum_companion, synthetic_image
 
 
 def small_problem(rows=8, cols=8, mode="dsg", fraction=0.3, seed=0):
@@ -254,6 +253,21 @@ class TestCheckAssumption:
         assert checks.spectrum_ok
         assert checks.fix_ok
         assert checks.all_ok()
+
+    def test_arpack_no_convergence_fails_spectrum_checks(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        op, _, den = small_problem()
+        checks = check_assumption(den, op)
+        assert np.isnan([checks.spectrum_low, checks.second_eigenvalue, checks.spectrum_high]).all()
+        assert not checks.spectrum_ok
+        assert not checks.fix_ok
+        assert not checks.all_ok()
+        assert checks.stochastic_ok and checks.forward_ok
 
     def test_zero_forward_fails(self):
         _, _, den = small_problem()
