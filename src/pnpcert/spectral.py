@@ -4,11 +4,13 @@ Each solver's frozen-momentum update is an affine map x -> P x + q, and
 ``IterationOperator.step`` is the one place where the three maps are
 written: the solvers iterate it, and ``apply`` (P) and ``offset`` (q) are
 the same method with a zero data term or at x = 0. So the certified map is
-the iterated map. Whenever the spectral radius of P is below 1, the full
+the iterated map. When the eigenvalues of P lie in [0, 1), the full
 momentum iteration converges globally and linearly, with asymptotic rate
 sqrt(rho(P)): the limiting two-step update has companion form
 [[2P, -P], [I, 0]], whose eigenvalues lie on |lambda| = sqrt(mu) for each
-eigenvalue mu of P.
+eigenvalue mu of P. An eigenvalue mu < -1/3, possible with pnp steps above
+1 / lambda_max(A^T A), gives roots of modulus |mu| + sqrt(mu^2 + |mu|) > 1,
+which the power estimate below misses (see ROADMAP.md, item 1).
 
 This module builds the map for the three schemes, estimates rho(P) by power
 iteration, derives the accelerated rate and verifies the convergence
@@ -20,7 +22,6 @@ Lehoucq, Sorensen & Yang, SIAM 1998) on W or its symmetric similar form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
     ForwardOp, PowerEstimate, lambda_max_gram, power_iteration, solve_shifted_gram,
 )
 from .imgcore import Rng, gaussian_noise
-from .kernel_denoise import KernelDenoiser, symmetric_weights
+from .kernel_denoise import KernelDenoiser
 
 
 @dataclass
@@ -41,9 +42,9 @@ class IterationOperator:
       scaled_pnp -- P x + q = W (x - gamma D^-1 (A^T A x - d))
 
     ``spectral_apply`` exposes a map with the same spectrum as P that is a
-    product of two symmetric PSD contractions, so power-iteration Rayleigh
-    quotients stay below 1; for the scaled kind this is the
-    degree-symmetrized form.
+    product of two symmetric matrices, so the spectrum is real; for the
+    scaled kind this is the degree-symmetrized form. For the pnp kinds both
+    are PSD contractions only while gamma <= 1 / lambda_max of the Gram map.
     """
 
     kind: str
@@ -58,10 +59,6 @@ class IterationOperator:
     @property
     def n(self) -> int:
         return self.op.n
-
-    @cached_property
-    def _w_sym(self):
-        return symmetric_weights(self.denoiser)
 
     def data_term(self, b: np.ndarray) -> np.ndarray:
         """The data term d of ``step`` for measurements b."""
@@ -94,7 +91,7 @@ class IterationOperator:
         if self.kind != "scaled_pnp":
             return self.apply(x)
         s = self._dsqrt_inv
-        return self._w_sym @ (x - self.gamma * (s * self.op.gram(s * x)))
+        return self.denoiser.symmetric @ (x - self.gamma * (s * self.op.gram(s * x)))
 
     def offset(self, b: np.ndarray) -> np.ndarray:
         """Constant term q of the affine update x -> P x + q for measurements b."""
@@ -107,8 +104,9 @@ def _check_pair(op: ForwardOp, denoiser: KernelDenoiser) -> None:
 
 
 def pnp_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
-    """The map may be built for any gamma >= 0 (gamma = 0 degenerates to W);
-    certification simply fails outside the contractive interval."""
+    """The map may be built for any gamma >= 0 (gamma = 0 degenerates to W).
+    Above gamma = 1 / lambda_max(A^T A), P can have an eigenvalue below -1/3:
+    the iteration then diverges, yet may be certified (see ROADMAP.md, item 1)."""
     _check_pair(op, denoiser)
     if gamma is None or gamma < 0:
         raise ValueError("gamma must be a nonnegative step size")
@@ -149,10 +147,12 @@ def spectral_radius(
 ) -> PowerEstimate:
     """Power iteration with Rayleigh-quotient estimates of rho(P).
 
-    The update maps here are similar to symmetric PSD matrices, so the
-    spectrum is real and nonnegative and plain power iteration settles on
-    the dominant eigenvalue. Stops when successive estimates differ by
-    less than tol * estimate.
+    The update maps here are similar to symmetric matrices, so the spectrum
+    is real, and nonnegative while gamma <= 1 / lambda_max of the Gram map.
+    The estimate is the signed eigenvalue of largest modulus; a negative one,
+    or any eigenvalue below -1/3, is outside what ``accelerated_radius``
+    covers (see ROADMAP.md, item 1). Stops when successive estimates differ
+    by less than tol * estimate.
     """
     v0 = gaussian_noise(rng if rng is not None else Rng(0x51B7), iter_op.n, 1.0)
     return power_iteration(iter_op.spectral_apply, v0, tol, max_iter)
@@ -161,10 +161,10 @@ def spectral_radius(
 def accelerated_radius(step_radius: float) -> float:
     """Spectral radius of the limiting momentum companion map given rho(P).
 
-    Every eigenvalue mu of P spawns the conjugate pair mu +/- i sqrt(mu - mu^2)
-    of the companion form, each of modulus sqrt(mu), so the companion radius
-    is sqrt(rho(P)). Certification requires rho(P) < 1; callers should treat
-    values >= 1 as non-certifying.
+    Every eigenvalue mu in [0, 1] of P spawns the conjugate pair
+    mu +/- i sqrt(mu - mu^2) of the companion form, each of modulus sqrt(mu),
+    so for such a spectrum the companion radius is sqrt(rho(P)). Certification
+    requires rho(P) < 1; callers should treat values >= 1 as non-certifying.
     """
     if step_radius < 0:
         raise ValueError("spectral radius estimate must be nonnegative")
@@ -232,7 +232,7 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     ones = np.ones(n)
     defect = float(np.abs(denoiser.weights @ ones - ones).max())
     a_one = float(np.linalg.norm(op.apply(ones)))
-    sym = denoiser.weights if denoiser.mode == "dsg" else symmetric_weights(denoiser)
+    sym = denoiser.symmetric
     v0 = gaussian_noise(Rng(0xDEF1A7E), n, 1.0)
     try:
         ends = eigsh(sym, k=3, which="BE", v0=v0, tol=1e-12, return_eigenvectors=False)

@@ -68,11 +68,15 @@ def momentum_companion(p_dense: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def reference_kernel(guide: Image, params) -> sparse.csr_matrix:
+def reference_kernel(guide: Image, params, box_order: bool = False) -> sparse.csr_matrix:
     """K as a COO matrix of mirrored offset blocks, converted and sorted.
 
-    The CSR assembly in ``build_kernel`` must reproduce it bitwise: the
-    values come from the same per-offset expression.
+    Each patch distance sums the p squared pixel differences of two patches:
+    by default as one ``sum`` over the flattened patch, or, with
+    ``box_order``, in the order ``build_kernel`` adds them: down each patch
+    column in row order, then the column sums from left to right. The
+    box-order reference must match ``build_kernel`` bitwise; the default one
+    differs only by the rounding of the two summation orders.
     """
     rows, cols = guide.rows, guide.cols
     n = rows * cols
@@ -80,7 +84,7 @@ def reference_kernel(guide: Image, params) -> sparse.csr_matrix:
     side = 2 * pr + 1
     p = side * side
     padded = np.pad(guide.grid(), pr, mode="symmetric")
-    patches = sliding_window_view(padded, (side, side)).reshape(rows, cols, p)
+    windows = sliding_window_view(padded, (side, side))  # [r, c, k, l] = padded[r + k, c + l]
     denom = 2.0 * params.bandwidth**2 * p
     idx = np.arange(n).reshape(rows, cols)
     ii_parts, jj_parts, val_parts = [idx.ravel()], [idx.ravel()], [np.ones(n)]
@@ -90,9 +94,16 @@ def reference_kernel(guide: Image, params) -> sparse.csr_matrix:
             ca, cb = max(0, -dj), min(cols, cols - dj)
             if ra >= rb or ca >= cb:
                 continue
-            pa = patches[ra:rb, ca:cb]
-            pb = patches[ra + di : rb + di, ca + dj : cb + dj]
-            d2 = ((pa - pb) ** 2).sum(axis=2)
+            sq = (windows[ra:rb, ca:cb] - windows[ra + di : rb + di, ca + dj : cb + dj]) ** 2
+            if box_order:
+                column_sums = sq[:, :, 0]
+                for k in range(1, side):
+                    column_sums = column_sums + sq[:, :, k]
+                d2 = column_sums[:, :, 0]
+                for l in range(1, side):
+                    d2 = d2 + column_sums[:, :, l]
+            else:
+                d2 = sq.reshape(rb - ra, cb - ca, p).sum(axis=2)
             vals = (np.exp(-d2 / denom) * _window_value(di, dj, params)).ravel()
             ii = idx[ra:rb, ca:cb].ravel()
             jj = idx[ra + di : rb + di, ca + dj : cb + dj].ravel()

@@ -46,9 +46,10 @@ from pnpcert import (
 )
 from pnpcert.cli import main
 from pnpcert.imgcore import psnr_vec
-from pnpcert.kernel_denoise import symmetric_weights
 
-from conftest import dense_oracle, materialize, momentum_companion, synthetic_image
+from conftest import (
+    dense_oracle, materialize, momentum_companion, reference_symmetric, synthetic_image,
+)
 from test_kernel_denoise import brute_force_kernel
 
 
@@ -98,7 +99,7 @@ def test_criterion_1():
                 assert defect <= 1e-14
                 dense = den.weights.toarray()
             else:
-                dense = symmetric_weights(den).toarray()
+                dense = reference_symmetric(den.kernel, den.degrees).toarray()
             eig = np.sort(np.linalg.eigvalsh(dense))
             assert eig[0] >= -1e-8
             assert eig[-1] <= 1.0 + 1e-8

@@ -277,6 +277,22 @@ class TestCertify:
         assert kv["check_fix_simple"] == "false"
         assert kv["check_spectrum_low"] == kv["second_eigenvalue"] == "nan"
 
+    def test_scaled_sweep_builds_symmetric_weights_once(self, tmp_path, monkeypatch):
+        from pnpcert import kernel_denoise
+
+        # an nlm denoiser scales K on both sides only to build D^-1/2 K D^-1/2
+        built = []
+        scaled = kernel_denoise._scaled
+        monkeypatch.setattr(kernel_denoise, "_scaled", lambda K, left, right=None: (
+            built.append(right is not None) or scaled(K, left, right)))
+        write_truth(tmp_path, 24, 24)
+        cfg_path = write_config(tmp_path, task="inpaint", denoiser="nlm",
+                                algorithm="scaled_pnp_fista")
+        code = main(["certify", "--config", str(cfg_path), "--grid", "0.3,0.5,0.9",
+                     "--power-max-iter", "300"])
+        assert code == EXIT_OK
+        assert sum(built) == 1  # check_assumption and every grid value share it
+
     def test_deblur_gamma_interval_is_exact(self, tmp_path):
         # a normalized nonnegative kernel has lambda_max(A^T A) = H(0)^2 = 1
         write_truth(tmp_path)

@@ -25,7 +25,7 @@ from pnpcert import (
     observe,
     psnr,
 )
-from pnpcert.kernel_denoise import _index_dtype, _kernel_nnz, symmetric_weights
+from pnpcert.kernel_denoise import _index_dtype, _kernel_nnz, _window_value
 
 from conftest import (
     reference_dsg,
@@ -63,8 +63,12 @@ def brute_force_kernel(guide: Image, params: KernelParams) -> np.ndarray:
     return K
 
 
-def random_guide(rows, cols, seed) -> Image:
-    return Image(Rng(seed).uniforms(rows * cols), rows, cols)
+def random_guide(rows, cols, seed, levels=0) -> Image:
+    """Uniform pixels, rounded to ``levels`` gray levels when that is positive."""
+    data = Rng(seed).uniforms(rows * cols)
+    if levels:
+        data = np.round(data * (levels - 1)) / (levels - 1)
+    return Image(data, rows, cols)
 
 
 class TestBuildKernel:
@@ -126,9 +130,37 @@ def assert_same_csr(got, want):
         assert np.array_equal(a, b)
 
 
+def window_values(K, cols, params) -> np.ndarray:
+    """h(di, dj) of every stored entry of K, from its row and column pixels."""
+    row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    di, dj = K.indices // cols - row // cols, K.indices % cols - row % cols
+    return np.broadcast_to(_window_value(di, dj, params), K.data.shape)
+
+
+def assert_within_summation_rounding(got, want, h, p):
+    """Affinities whose p-term patch distances were summed in two orders.
+
+    Any order of adding p nonnegative terms lies within (p - 1) eps/2 of the
+    exact sum, relatively (Higham, Accuracy and Stability of Numerical
+    Algorithms, 4.2), so with the division by the bandwidth term the two
+    exponents t = d2 / denom differ by at most p eps t. np.exp is taken to be
+    accurate to 2 eps on each side (its measured error is below 0.6 eps), the
+    product by h to eps/2 each, and 2 p eps t leaves a factor 2 over first
+    order. Where the affinity is subnormal or
+    underflows to 0 (t above about 708), that rounding is absolute: at most
+    2 subnormal spacings on each side.
+    """
+    eps = np.finfo(np.float64).eps
+    t, normal = np.zeros_like(want), want > 0
+    t[normal] = np.log(h[normal]) - np.log(want[normal])  # d2 / denom; 0 where want is 0
+    bound = eps * (5.0 + 2.0 * p * t) * want + 4.0 * np.finfo(np.float64).smallest_subnormal
+    assert np.all(np.abs(got - want) <= bound)
+
+
 class TestCsrAssembly:
-    """Direct CSR assembly against the COO assembly and broadcasting
-    normalizations in ``conftest`` (bitwise)."""
+    """Direct CSR assembly against the COO assemblies in ``conftest``: bitwise
+    in the box-sum order, to summation rounding in the flat patch order; the
+    normalizations of that K against broadcasting ones, bitwise."""
 
     @given(
         shape=st.sampled_from([(1, 7), (7, 1), (2, 2), (9, 13)]),
@@ -137,28 +169,44 @@ class TestCsrAssembly:
         window_shape=st.sampled_from(["box", "hat"]),
         bandwidth=st.floats(0.005, 1.0),  # below about 0.026 some affinities underflow to 0
         seed=st.integers(0, 2**31),
+        levels=st.sampled_from([0, 4]),  # 4 gray levels: equal patches, zero distances
     )
     @settings(max_examples=60, deadline=None)
     @example(shape=(9, 13), patch_radius=2, window_radius=14, window_shape="hat",
-             bandwidth=0.005, seed=3)  # underflowed affinities, window wider than the image
+             bandwidth=0.005, seed=3, levels=0)  # underflow, window wider than the image
+    @example(shape=(9, 13), patch_radius=1, window_radius=14, window_shape="hat",
+             bandwidth=0.05, seed=34, levels=4)  # integral-image distances go negative here
     def test_matches_reference(self, shape, patch_radius, window_radius, window_shape,
-                               bandwidth, seed):
-        guide = random_guide(*shape, seed)
+                               bandwidth, seed, levels):
+        guide = random_guide(*shape, seed, levels)
         params = KernelParams(patch_radius, window_radius, bandwidth, window_shape)
         K = build_kernel(guide, params)
-        ref = reference_kernel(guide, params)
-        assert_same_csr(K, ref)
+        assert_same_csr(K, reference_kernel(guide, params, box_order=True))
         assert K.has_canonical_format
+        ref = reference_kernel(guide, params)
+        for a, b in zip(csr_arrays(K)[1:], csr_arrays(ref)[1:]):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        h = window_values(K, shape[1], params)
+        assert_within_summation_rounding(K.data, ref.data, h, (2 * patch_radius + 1) ** 2)
+
+        # invariants, with no reference: bitwise symmetric, unit diagonal, and
+        # 0 <= K_ij <= h(di, dj), which a negative distance would break
+        assert (K != K.T).nnz == 0
+        assert np.array_equal(K.diagonal(), np.ones(K.shape[0]))
+        assert np.all(K.data >= 0.0)
+        assert np.all(K.data <= h)
         before = [a.copy() for a in csr_arrays(K)]
 
         nlm = build_nlm(K)
-        W_ref, deg_ref = reference_nlm(ref)
+        W_ref, deg_ref = reference_nlm(K)
         assert_same_csr(nlm.weights, W_ref)
         assert np.array_equal(nlm.degrees, deg_ref)
-        assert_same_csr(symmetric_weights(nlm), reference_symmetric(ref, deg_ref))
+        assert_same_csr(nlm.symmetric, reference_symmetric(K, deg_ref))
+        assert nlm.symmetric is nlm.symmetric  # built once, then cached
 
         dsg = build_dsg(K)
-        W_ref, deg_ref, s_max = reference_dsg(ref)
+        W_ref, deg_ref, s_max = reference_dsg(K)
         assert dsg.kernel is None
         assert np.array_equal(dsg.degrees, deg_ref)
         assert dsg.norm_scale == s_max
@@ -180,11 +228,10 @@ class TestCsrAssembly:
         K = build_kernel(random_guide(6, 7, 22), KernelParams(1, 2, 0.1))
         nlm, dsg = build_nlm(K), build_dsg(K)
         assert nlm.kernel is K
-        for M in (nlm.weights, dsg.weights, symmetric_weights(nlm)):
+        for M in (nlm.weights, dsg.weights, nlm.symmetric):
             assert np.shares_memory(M.indices, K.indices)
             assert np.shares_memory(M.indptr, K.indptr)
-        with pytest.raises(ValueError):
-            symmetric_weights(dsg)
+        assert dsg.symmetric is dsg.weights  # a dsg denoiser keeps no K
 
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 13), (30, 17)])
     @pytest.mark.parametrize("window_radius", [1, 3, 6])
@@ -217,6 +264,19 @@ class TestBuildMemory:
         if mode == "dsg":  # W and the degrees only
             assert held <= 1.1 * w_bytes
 
+    def test_kernel_peak(self):
+        # per offset, the box sums hold a few image-sized arrays, not a
+        # (rows, cols, p) patch array
+        guide = random_guide(96, 96, 24)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            K = build_kernel(guide, KernelParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * sum(a.nbytes for a in csr_arrays(K))
+
 
 class TestNlm:
     def test_constant_guide_rows(self):
@@ -234,7 +294,7 @@ class TestNlm:
         guide = random_guide(6, 6, 10)
         den = build_nlm(build_kernel(guide, KernelParams(1, 2, 0.15)))
         # spectrum of the nonsymmetric weights equals that of the symmetrized form
-        eig = np.linalg.eigvalsh(symmetric_weights(den).toarray())
+        eig = np.linalg.eigvalsh(reference_symmetric(den.kernel, den.degrees).toarray())
         assert eig.min() >= -1e-10
         assert eig.max() <= 1.0 + 1e-10
 
@@ -269,7 +329,7 @@ class TestDsg:
         K = build_kernel(guide, KernelParams(1, 1, 0.1))
         den = build_dsg(K)
         # a dsg denoiser keeps no K: S = D^-1/2 K D^-1/2 comes from the nlm one
-        one_hat = symmetric_weights(build_nlm(K)) @ np.ones(81)
+        one_hat = build_nlm(K).symmetric @ np.ones(81)
         corr = 1.0 - one_hat / den.norm_scale
         interior = corr.reshape(9, 9)[2:7, 2:7].ravel()
         assert np.all(interior == interior[0])

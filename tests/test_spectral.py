@@ -21,11 +21,13 @@ from pnpcert import (
     scaled_operator,
     spectral_radius,
 )
-from pnpcert.kernel_denoise import KernelDenoiser, symmetric_weights
+from pnpcert.kernel_denoise import KernelDenoiser
 from pnpcert.spectral import SpectralReport, build_report
 from scipy import sparse
 
-from conftest import dense_oracle, materialize, momentum_companion, synthetic_image
+from conftest import (
+    dense_oracle, materialize, momentum_companion, reference_symmetric, synthetic_image,
+)
 
 
 def small_problem(rows=8, cols=8, mode="dsg", fraction=0.3, seed=0):
@@ -123,7 +125,7 @@ class TestSpectralRadius:
         gamma = 0.8 / lambda_max_gram(op, diag=den.degrees).value
         it = scaled_operator(op, den, gamma)
         # oracle: dense product of the symmetrized weights and scaled gram
-        Ws = symmetric_weights(den).toarray()
+        Ws = reference_symmetric(den.kernel, den.degrees).toarray()
         dis = 1.0 / np.sqrt(den.degrees)
         Gs = np.eye(op.n) - gamma * (dis[:, None] * dense_gram(op) * dis[None, :])
         eig = np.linalg.eigvals(Ws @ Gs)
@@ -290,7 +292,7 @@ class TestCheckAssumption:
                                             (12, 12)])
     def test_matches_dense_eigenvalues(self, rows, cols, mode, window):
         den = build_denoiser(synthetic_image(rows, cols), KernelParams(1, 2, 0.15, window), mode)
-        sym = den.weights if mode == "dsg" else symmetric_weights(den)
+        sym = den.weights if mode == "dsg" else reference_symmetric(den.kernel, den.degrees)
         eig = np.linalg.eigvalsh(sym.toarray())
         checks = check_assumption(den, make_inpaint(rows, cols, 0.5, Rng(3)))
         assert checks.spectrum_low == pytest.approx(eig[0], abs=1e-12)
