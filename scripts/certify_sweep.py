@@ -39,7 +39,8 @@ def main():
     parser.add_argument("--noise-sigma", type=float, default=0.03)
     parser.add_argument("--grid", default="0.10,0.25,0.50,0.75,0.90")
     parser.add_argument("--window-shape", default="hat", choices=["box", "hat"])
-    parser.add_argument("--power-tol", type=float, default=1e-9)
+    parser.add_argument("--power-tol", type=float, default=1e-9,
+                        help="relative tolerance of the ARPACK eigensolves")
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
@@ -62,8 +63,7 @@ def main():
                     it = pnp_operator(op, den, g / lam)
                 else:
                     it = red_operator(op, den, mu=g, theta=g)
-                report = build_report(task, it, g, lam, checks, power_tol=args.power_tol,
-                                      rng=Rng(args.seed + 7))
+                report = build_report(task, it, g, lam, checks, power_tol=args.power_tol)
                 row = f"{algorithm},{report.csv_row()}"
                 rows.append(row)
                 print(row)

@@ -13,8 +13,8 @@ Layers:
 
 from .imgcore import Image, Rng, gaussian_noise, load_pgm, psnr, save_pgm, ssim
 from .fwdops import (
+    EigenEstimate,
     ForwardOp,
-    PowerEstimate,
     gaussian_kernel,
     lambda_max_gram,
     make_blur,
@@ -56,7 +56,7 @@ from .spectral import (
 
 __all__ = [
     "Image", "Rng", "gaussian_noise", "load_pgm", "psnr", "save_pgm", "ssim",
-    "ForwardOp", "PowerEstimate", "gaussian_kernel", "lambda_max_gram",
+    "EigenEstimate", "ForwardOp", "gaussian_kernel", "lambda_max_gram",
     "make_blur", "make_inpaint", "make_superres", "observe",
     "KernelDenoiser", "KernelParams", "apply_w", "build_denoiser",
     "build_dsg", "build_kernel", "build_nlm", "make_guide",

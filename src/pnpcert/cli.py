@@ -5,7 +5,7 @@ Config files are flat ``key = value`` text, one pair per line, with ``#``
 comments. Unknown keys are rejected. The ``gamma`` key is a fraction of the
 certified step-size bound: the solver uses gamma / lambda_hat where
 lambda_hat is the largest Gram eigenvalue, exact from the operator's
-structure (a power-method estimate for the degree-rescaled Gram map of the
+structure (an ARPACK estimate for the degree-rescaled Gram map of the
 scaled algorithm). The ``cg_tol`` and ``cg_max_iter`` keys are accepted and
 have no effect: the quadratic prox is solved exactly.
 
@@ -166,7 +166,7 @@ class Problem:
     observed: np.ndarray
     guide: Image
     denoiser: kernel_denoise.KernelDenoiser
-    lambda_hat: fwdops.PowerEstimate
+    lambda_hat: fwdops.EigenEstimate
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
@@ -385,7 +385,6 @@ def cmd_certify(args) -> int:
         report = spectral.build_report(
             cfg.task, iter_op, value, prob.lambda_hat.value, checks,
             power_tol=args.power_tol, power_max_iter=args.power_max_iter,
-            rng=Rng(cfg.seed ^ 0x5EC7),
         )
         rows.append(report.csv_row())
         name = f"{cfg.algorithm}_{_grid_label(value)}"
@@ -483,8 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_cert)
     p_cert.add_argument("--grid", required=True,
                         help="comma-separated step fractions (pnp) or 1/L values (red)")
-    p_cert.add_argument("--power-tol", type=float, default=1e-8)
-    p_cert.add_argument("--power-max-iter", type=int, default=20000)
+    p_cert.add_argument("--power-tol", type=float, default=1e-8,
+                        help="relative tolerance (ARPACK tol) of the eigensolves of P")
+    p_cert.add_argument("--power-max-iter", type=int, default=20000,
+                        help="restart cap (ARPACK maxiter) of the eigensolves of P")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sched = sub.add_parser("schedules", help="compare momentum schedules against a long run")

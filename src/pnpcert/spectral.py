@@ -9,14 +9,13 @@ momentum iteration converges globally and linearly, with asymptotic rate
 sqrt(rho(P)): the limiting two-step update has companion form
 [[2P, -P], [I, 0]], whose eigenvalues lie on |lambda| = sqrt(mu) for each
 eigenvalue mu of P. An eigenvalue mu < -1/3, possible with pnp steps above
-1 / lambda_max(A^T A), gives roots of modulus |mu| + sqrt(mu^2 + |mu|) > 1,
-which the power estimate below misses (see ROADMAP.md, item 1).
+1 / lambda_max(A^T A), gives roots of modulus |mu| + sqrt(mu^2 - mu) > 1.
 
-This module builds the map for the three schemes, estimates rho(P) by power
-iteration, derives the accelerated rate and verifies the convergence
-preconditions on the denoiser/operator pair. The preconditions on the spectrum
-of W are decided at every n by one sparse symmetric Lanczos solve (ARPACK;
-Lehoucq, Sorensen & Yang, SIAM 1998) on W or its symmetric similar form.
+This module builds the map for the three schemes, finds the eigenvalues of
+P that bound the rate with ARPACK (Lehoucq, Sorensen & Yang, SIAM 1998) on
+the iterated map itself, and verifies the convergence preconditions on the
+denoiser/operator pair, deciding those on the spectrum of W by one
+symmetric Lanczos solve on W or its symmetric similar form.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
-    ForwardOp, PowerEstimate, lambda_max_gram, power_iteration, solve_shifted_gram,
+    EigenEstimate, ForwardOp, arpack_eigenvalue, lambda_max_gram, solve_shifted_gram,
 )
 from .imgcore import Rng, gaussian_noise
 from .kernel_denoise import KernelDenoiser
@@ -41,10 +40,11 @@ class IterationOperator:
       red        -- P x + q = (I + mu A^T A)^-1 (theta W x + (1 - theta) x + d)
       scaled_pnp -- P x + q = W (x - gamma D^-1 (A^T A x - d))
 
-    ``spectral_apply`` exposes a map with the same spectrum as P that is a
-    product of two symmetric matrices, so the spectrum is real; for the
-    scaled kind this is the degree-symmetrized form. For the pnp kinds both
-    are PSD contractions only while gamma <= 1 / lambda_max of the Gram map.
+    With dsg weights, and for the scaled kind, P is similar to a product of
+    two symmetric matrices, so its spectrum is real; it lies in [0, 1] while
+    W's does and, for the pnp kinds, gamma <= 1 / lambda_max of the (scaled)
+    Gram map. pnp and red with nlm weights lie outside the paper's theorem:
+    on blur P then has complex eigenvalues.
     """
 
     kind: str
@@ -54,7 +54,6 @@ class IterationOperator:
     mu: float | None = None
     theta: float | None = None
     _dinv: np.ndarray | None = field(default=None, repr=False)
-    _dsqrt_inv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -87,12 +86,6 @@ class IterationOperator:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.size}")
         return self.step(x, 0.0)
 
-    def spectral_apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind != "scaled_pnp":
-            return self.apply(x)
-        s = self._dsqrt_inv
-        return self.denoiser.symmetric @ (x - self.gamma * (s * self.op.gram(s * x)))
-
     def offset(self, b: np.ndarray) -> np.ndarray:
         """Constant term q of the affine update x -> P x + q for measurements b."""
         return self.step(np.zeros(self.n), self.data_term(b))
@@ -105,8 +98,8 @@ def _check_pair(op: ForwardOp, denoiser: KernelDenoiser) -> None:
 
 def pnp_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
     """The map may be built for any gamma >= 0 (gamma = 0 degenerates to W).
-    Above gamma = 1 / lambda_max(A^T A), P can have an eigenvalue below -1/3:
-    the iteration then diverges, yet may be certified (see ROADMAP.md, item 1)."""
+    Above gamma = 1 / lambda_max(A^T A), P can have an eigenvalue below -1/3,
+    and the iteration then diverges; ``build_report`` rates that eigenvalue."""
     _check_pair(op, denoiser)
     if gamma is None or gamma < 0:
         raise ValueError("gamma must be a nonnegative step size")
@@ -134,41 +127,29 @@ def scaled_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> It
     if denoiser.mode != "nlm":
         raise ValueError("scaled iteration requires an nlm-mode denoiser")
     return IterationOperator(
-        kind="scaled_pnp", op=op, denoiser=denoiser, gamma=gamma,
-        _dinv=1.0 / denoiser.degrees, _dsqrt_inv=1.0 / np.sqrt(denoiser.degrees),
+        kind="scaled_pnp", op=op, denoiser=denoiser, gamma=gamma, _dinv=1.0 / denoiser.degrees
     )
 
 
 def spectral_radius(
-    iter_op: IterationOperator,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-    rng: Rng | None = None,
-) -> PowerEstimate:
-    """Power iteration with Rayleigh-quotient estimates of rho(P).
+    iter_op: IterationOperator, tol: float = 1e-10, max_iter: int = 100000
+) -> EigenEstimate:
+    """The signed eigenvalue of P of largest modulus, by ARPACK ``eigs`` on
+    ``iter_op.apply``, the map the solvers iterate."""
+    return arpack_eigenvalue(iter_op.apply, iter_op.n, "LM", tol, max_iter)
 
-    The update maps here are similar to symmetric matrices, so the spectrum
-    is real, and nonnegative while gamma <= 1 / lambda_max of the Gram map.
-    The estimate is the signed eigenvalue of largest modulus; a negative one,
-    or any eigenvalue below -1/3, is outside what ``accelerated_radius``
-    covers (see ROADMAP.md, item 1). Stops when successive estimates differ
-    by less than tol * estimate.
+
+def accelerated_radius(mu: float | complex) -> float:
+    """Larger modulus of the companion roots lambda^2 - 2 mu lambda + mu = 0
+    that an eigenvalue mu of P gives the form [[2P, -P], [I, 0]].
+
+    It is sqrt(mu) for mu in [0, 1], and |mu| + sqrt(mu^2 - mu) for other
+    real mu, which exceeds 1 exactly when mu < -1/3 or mu > 1; nan gives nan.
     """
-    v0 = gaussian_noise(rng if rng is not None else Rng(0x51B7), iter_op.n, 1.0)
-    return power_iteration(iter_op.spectral_apply, v0, tol, max_iter)
-
-
-def accelerated_radius(step_radius: float) -> float:
-    """Spectral radius of the limiting momentum companion map given rho(P).
-
-    Every eigenvalue mu in [0, 1] of P spawns the conjugate pair
-    mu +/- i sqrt(mu - mu^2) of the companion form, each of modulus sqrt(mu),
-    so for such a spectrum the companion radius is sqrt(rho(P)). Certification
-    requires rho(P) < 1; callers should treat values >= 1 as non-certifying.
-    """
-    if step_radius < 0:
-        raise ValueError("spectral radius estimate must be nonnegative")
-    return float(np.sqrt(step_radius))
+    if not isinstance(mu, complex) and 0.0 <= mu <= 1.0:
+        return float(np.sqrt(mu))
+    s = np.sqrt(complex(mu) ** 2 - mu)
+    return float(max(abs(mu + s), abs(mu - s)))
 
 
 def fixed_point(
@@ -262,9 +243,9 @@ class SpectralReport:
     task: str
     denoiser_mode: str
     grid_value: float          # step-size fraction (pnp paths) or 1/L (red)
-    rho_step: PowerEstimate    # rho(P)
-    rho_accel: float           # sqrt(rho(P)), the certified asymptotic rate
-    certified: bool            # rho_accel < 1
+    rho_step: EigenEstimate    # P's largest-modulus eigenvalue; flag and count cover all solves
+    rho_accel: float           # the certified asymptotic rate
+    certified: bool            # rho_accel < 1 and every solve converged
     assumptions: AssumptionChecks
     gamma_interval: tuple[float, float]
     power_tol: float = 1e-10
@@ -317,22 +298,37 @@ def build_report(
     checks: AssumptionChecks,
     power_tol: float = 1e-8,
     power_max_iter: int = 20000,
-    rng: Rng | None = None,
 ) -> SpectralReport:
     """Assemble a certification report for one iteration operator.
 
     ``checks`` comes from ``check_assumption`` on the same denoiser and
     operator; it does not depend on the grid value, so sweeps compute it once.
+    The rate is that of P's largest-modulus eigenvalue. Where the theorem's
+    hypotheses do not put P's spectrum in [0, inf) -- a pnp step fraction
+    above 1, nlm weights outside the scaled kind, or a failed spectrum check
+    -- the eigenvalue of smallest real part is rated too, and the worse rate
+    counts. ``power_tol``/``power_max_iter`` are ARPACK's tol/maxiter.
     """
-    est = spectral_radius(iter_op, tol=power_tol, max_iter=power_max_iter, rng=rng)
-    rho_r = accelerated_radius(max(est.value, 0.0))
+    est = spectral_radius(iter_op, tol=power_tol, max_iter=power_max_iter)
+    rate = accelerated_radius(est.value)
+    in_theorem = (
+        checks.spectrum_ok
+        and (iter_op.kind == "red" or grid_value <= 1.0)
+        and (iter_op.kind == "scaled_pnp" or iter_op.denoiser.mode == "dsg")
+    )
+    if not in_theorem:
+        low = arpack_eigenvalue(iter_op.apply, iter_op.n, "SR", power_tol, power_max_iter)
+        rate = float(np.max([rate, accelerated_radius(low.value)]))  # nan propagates
+        est = EigenEstimate(
+            est.value, est.converged and low.converged, est.iterations + low.iterations
+        )
     return SpectralReport(
         task=task,
         denoiser_mode=iter_op.denoiser.mode,
         grid_value=grid_value,
         rho_step=est,
-        rho_accel=rho_r,
-        certified=rho_r < 1.0,
+        rho_accel=rate,
+        certified=est.converged and rate < 1.0,
         assumptions=checks,
         gamma_interval=(0.0, 1.0 / lambda_hat),
         power_tol=power_tol,

@@ -1,3 +1,7 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -141,6 +145,15 @@ def reference_dsg(K: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray, 
     W = sparse.csr_matrix(S / s_max + sparse.diags(1.0 - one_hat / s_max))
     W.sort_indices()
     return W, deg, s_max
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name: str, *argv: str) -> None:
+    """Run scripts/<name> as ``python scripts/<name> argv...`` would, in-process."""
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
 
 
 def dense_forward(op):

@@ -13,7 +13,7 @@ from pnpcert.cli import (
     parse_config,
 )
 
-from conftest import dense_forward, synthetic_image
+from conftest import dense_forward, run_script, synthetic_image
 
 
 def write_truth(tmp_path, rows=16, cols=16):
@@ -260,6 +260,25 @@ class TestCertify:
         reports = list((tmp_path / "out" / "reports").glob("*.txt"))
         assert len(reports) == 2
         assert "rho_P=" in reports[0].read_text()
+
+    def test_steps_past_the_bound_are_rated_by_the_lowest_eigenvalue(self, tmp_path, monkeypatch):
+        # above gamma = 1, P gains eigenvalues below -1/3 (-0.49 at 1.5, -0.89 at
+        # 1.9) while its largest-modulus one stays near 0.983 up to 1.9; there
+        # run diverges, so the certificate must fail too
+        image = tmp_path / "img64.pgm"
+        run_script(monkeypatch, "make_test_image.py", "--rows", "64", "--cols", "64",
+                   "--out", str(image))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"task = inpaint\nimage = {image}\ncrop = 32\nseed = 3\n"
+                            f"denoiser = dsg\nwindow_shape = hat\nout = {tmp_path / 'out'}\n")
+        grid = "0.9,1.2,1.5,1.9,2.5,4.0"
+        assert main(["certify", "--config", str(cfg_path), "--grid", grid]) == EXIT_OK
+        rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[1:]
+        flags = [row.split(",")[5] for row in rows]
+        assert flags == ["true", "true", "false", "false", "false", "false"]
+        for name in ("1_5", "1_9", "2_5", "4"):
+            kv = read_kv(tmp_path / "out" / "reports" / f"pnp_fista_{name}.txt")
+            assert kv["rho_P_converged"] == "true" and float(kv["rho_R"]) > 1.0
 
     def test_eigensolver_failure_is_reported(self, tmp_path, monkeypatch):
         import scipy.sparse.linalg as spla

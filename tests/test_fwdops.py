@@ -220,11 +220,12 @@ class TestLambdaMax:
         assert -1e-12 <= est.value <= 1.0 + 1e-8
 
     def test_nonconvergence_flagged(self):
-        op = make_blur(8, 8, gaussian_kernel(5, 1.2))
-        diag = 1.0 + Rng(9).uniforms(64)
+        # at 8x8 one ARPACK restart already converges; 32x32 needs more than 3
+        op = make_blur(32, 32, gaussian_kernel(5, 1.2))
+        diag = 1.0 + Rng(9).uniforms(1024)
         est = lambda_max_gram(op, tol=1e-15, max_iter=3, diag=diag)
         assert not est.converged
-        assert est.iterations == 3
+        assert np.isnan(est.value)
 
     @pytest.mark.parametrize("tol, max_iter", [(np.nan, 10), (0.0, 10), (1e-8, 0)])
     def test_scaled_invalid_arguments_rejected(self, tol, max_iter):

@@ -202,7 +202,7 @@ class TestPnpFista:
         it = pnp_operator(op, den, gamma)
         from pnpcert.spectral import accelerated_radius, spectral_radius
 
-        rho = spectral_radius(it, tol=1e-12, rng=Rng(77))
+        rho = spectral_radius(it, tol=1e-12)
         assert rho.converged and rho.value < 1
         rate = accelerated_radius(rho.value)
         x_star = fixed_point(it, it.offset(b), tol=1e-14)

@@ -13,6 +13,7 @@ from pnpcert import (
     gaussian_noise,
     lambda_max_gram,
     make_blur,
+    make_guide,
     make_inpaint,
     make_superres,
     observe,
@@ -107,7 +108,7 @@ class TestSpectralRadius:
     def test_denoiser_alone_has_radius_one(self):
         op, _, den = small_problem()
         it = pnp_operator(op, den, 0.0)
-        est = spectral_radius(it, tol=1e-12, rng=Rng(5))
+        est = spectral_radius(it, tol=1e-12)
         assert est.converged
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
@@ -117,7 +118,7 @@ class TestSpectralRadius:
         it = pnp_operator(op, den, gamma)
         _, eig = dense_oracle(it.apply, op.n)
         top = float(np.max(np.real(eig)))
-        est = spectral_radius(it, tol=1e-13, rng=Rng(6))
+        est = spectral_radius(it, tol=1e-13)
         assert est.value == pytest.approx(top, abs=1e-8)
 
     def test_scaled_matches_symmetrized_dense(self):
@@ -129,7 +130,7 @@ class TestSpectralRadius:
         dis = 1.0 / np.sqrt(den.degrees)
         Gs = np.eye(op.n) - gamma * (dis[:, None] * dense_gram(op) * dis[None, :])
         eig = np.linalg.eigvals(Ws @ Gs)
-        est = spectral_radius(it, tol=1e-13, rng=Rng(7))
+        est = spectral_radius(it, tol=1e-13)
         assert est.value == pytest.approx(float(np.max(np.real(eig))), abs=1e-8)
         # and the true (unsymmetrized) map has the same spectrum
         eig_plain = np.linalg.eigvals(materialize(it.apply, op.n))
@@ -140,13 +141,13 @@ class TestSpectralRadius:
         mu, theta = 0.5, 0.5
         it = red_operator(op, den, mu=mu, theta=theta)
         _, eig = dense_oracle(it.apply, op.n)
-        est = spectral_radius(it, tol=1e-13, rng=Rng(8))
+        est = spectral_radius(it, tol=1e-13)
         assert est.value == pytest.approx(float(np.max(np.real(eig))), abs=1e-8)
 
     def test_unconverged_flagged(self):
         op, _, den = small_problem()
         it = pnp_operator(op, den, 0.7)
-        est = spectral_radius(it, tol=1e-16, max_iter=2, rng=Rng(9))
+        est = spectral_radius(it, tol=1e-16, max_iter=2)
         assert not est.converged
 
     @pytest.mark.parametrize("tol, max_iter", [(0.0, 10), (-1e-8, 10), (np.nan, 10),
@@ -163,7 +164,7 @@ class TestSpectralRadius:
         it = pnp_operator(op, den, gamma)
         _, eig = dense_oracle(it.apply, op.n)
         top = float(np.max(np.real(eig)))
-        est = spectral_radius(it, tol=1e-13, max_iter=200000, rng=Rng(10))
+        est = spectral_radius(it, tol=1e-13, max_iter=200000)
         assert abs(est.value - top) / top <= 1e-6
 
 
@@ -174,9 +175,18 @@ class TestAcceleratedRadius:
     def test_quarter(self):
         assert accelerated_radius(0.25) == 0.5
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            accelerated_radius(-0.1)
+    def test_negative_eigenvalue_separates_roots(self):
+        # real roots of modulus |mu| + sqrt(mu^2 - mu); the larger crosses 1 at -1/3
+        assert accelerated_radius(-0.25) == pytest.approx(0.25 + np.sqrt(0.3125), abs=1e-15)
+        assert accelerated_radius(-1.0 / 3.0) == pytest.approx(1.0, abs=1e-15)
+        assert accelerated_radius(-0.33) < 1.0 < accelerated_radius(-0.34)
+        assert accelerated_radius(1.0) == 1.0 < accelerated_radius(1.01)
+        assert np.isnan(accelerated_radius(np.nan))
+
+    @pytest.mark.parametrize("mu", [-2.0, -0.5, -0.1, 0.0, 0.3, 0.99, 1.5, 0.5 + 0.2j, -0.3 - 0.1j])
+    def test_matches_companion_roots(self, mu):
+        roots = np.roots([1.0, -2.0 * mu, mu])
+        assert accelerated_radius(mu) == pytest.approx(np.abs(roots).max(), abs=1e-14)
 
     def test_companion_eigenvalues_match_sqrt_relation(self):
         op, _, den = small_problem()
@@ -186,6 +196,33 @@ class TestAcceleratedRadius:
         R = momentum_companion(P)
         eig_r = np.linalg.eigvals(R)
         assert abs(np.abs(eig_r).max() - np.sqrt(np.max(np.real(eig_p)))) <= 1e-7
+
+
+class TestCompanionOracle:
+    """The certified rate is the radius of the dense 2n x 2n companion matrix,
+    on both sides of the step bound 1 / lambda_max(A^T A)."""
+
+    @pytest.mark.parametrize("task", ["inpaint", "deblur", "superres"])
+    def test_pnp_rate_matches_dense_companion(self, task):
+        truth = synthetic_image(16, 16)
+        taps = gaussian_kernel(5, 1.5)
+        op = {
+            "inpaint": lambda: make_inpaint(16, 16, 0.3, Rng(41)),
+            "deblur": lambda: make_blur(16, 16, taps),
+            "superres": lambda: make_superres(16, 16, taps, 2),
+        }[task]()
+        b = observe(op, truth, 0.02, Rng(42))
+        den = build_denoiser(make_guide(task, b, op), KernelParams(1, 2, 0.15, "hat"), "dsg")
+        checks = check_assumption(den, op)
+        assert checks.spectrum_ok
+        lam = lambda_max_gram(op).value
+        for frac in (0.5, 0.9, 1.2, 1.5, 1.9):
+            it = pnp_operator(op, den, frac / lam)
+            report = build_report(task, it, frac, lam, checks, power_tol=1e-12)
+            R = momentum_companion(materialize(it.apply, op.n))
+            radius = float(np.abs(np.linalg.eigvals(R)).max())
+            assert abs(report.rho_accel - radius) <= 1e-10, (frac, report.rho_accel, radius)
+            assert report.certified == (radius < 1.0)
 
 
 class TestFixedPoint:
@@ -362,8 +399,7 @@ class TestReport:
         lam_hat = lambda_max_gram(op).value
         it = pnp_operator(op, den, 0.9 / lam_hat)
         checks = check_assumption(den, op)
-        report = build_report("inpaint", it, 0.9, lam_hat, checks, power_tol=1e-10,
-                              rng=Rng(13))
+        report = build_report("inpaint", it, 0.9, lam_hat, checks, power_tol=1e-10)
         assert report.assumptions is checks
         assert report.certified
         assert report.rho_accel == pytest.approx(np.sqrt(report.rho_step.value))
@@ -373,6 +409,16 @@ class TestReport:
         assert fields[5] == "true"
         kv = report.to_kv()
         assert "rho_P=" in kv and "rho_R=" in kv and "certified=true" in kv
+
+    def test_unconverged_eigensolve_is_not_certified(self):
+        op, _, den = small_problem()
+        lam_hat = lambda_max_gram(op).value
+        it = pnp_operator(op, den, 0.9 / lam_hat)
+        report = build_report("inpaint", it, 0.9, lam_hat, check_assumption(den, op),
+                              power_tol=1e-16, power_max_iter=1)
+        assert not report.rho_step.converged and not report.certified
+        assert np.isnan(report.rho_step.value) and np.isnan(report.rho_accel)
+        assert "rho_P=nan" in report.to_kv() and report.csv_row().endswith(",nan,nan,false")
 
     def test_header_shape(self):
         from pnpcert.spectral import SWEEP_CSV_HEADER
