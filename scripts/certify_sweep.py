@@ -5,30 +5,18 @@ For inpainting and deblurring, and for both the denoise-in-the-gradient and
 the proximal-blend algorithms, certify the asymptotic linear rate on a grid
 of step fractions (or 1/L values). Emits one combined CSV; every row should
 report a rate strictly below 1 whenever the assumption checks pass.
+
+Each problem is the CLI's: ``build_problem`` on a config with the CLI
+defaults, a 9-tap blur of sigma 2 and the options below, certified by
+``certify_grid``. So a row, after its algorithm column, is the row that
+``pnpcert certify`` writes for that config with the same ``--power-tol``.
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from pnpcert import (
-    KernelParams,
-    Rng,
-    build_denoiser,
-    check_assumption,
-    gaussian_kernel,
-    lambda_max_gram,
-    load_pgm,
-    make_blur,
-    make_guide,
-    make_inpaint,
-    observe,
-    pnp_operator,
-    red_operator,
-)
-from pnpcert.cli import _center_crop
-from pnpcert.spectral import SWEEP_CSV_HEADER, build_report
+from pnpcert.cli import ExperimentConfig, build_problem, certify_grid
+from pnpcert.spectral import SWEEP_CSV_HEADER
 
 
 def main():
@@ -44,29 +32,18 @@ def main():
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
-    truth = _center_crop(load_pgm(args.image), args.crop)
     grid = [float(v) for v in args.grid.split(",")]
-    params = KernelParams(window_shape=args.window_shape)
     rows = []
     for task in ("inpaint", "deblur"):
-        if task == "inpaint":
-            op = make_inpaint(truth.rows, truth.cols, 0.3, Rng(args.seed))
-        else:
-            op = make_blur(truth.rows, truth.cols, gaussian_kernel(9, 2.0))
-        b = observe(op, truth, args.noise_sigma, Rng(args.seed + 1))
-        den = build_denoiser(make_guide(task, b, op), params, "dsg")
-        lam = lambda_max_gram(op).value
-        checks = check_assumption(den, op)
         for algorithm in ("pnp_fista", "red_apg"):
-            for g in grid:
-                if algorithm == "pnp_fista":
-                    it = pnp_operator(op, den, g / lam)
-                else:
-                    it = red_operator(op, den, mu=g, theta=g)
-                report = build_report(task, it, g, lam, checks, power_tol=args.power_tol)
-                row = f"{algorithm},{report.csv_row()}"
-                rows.append(row)
-                print(row)
+            cfg = ExperimentConfig(
+                task=task, image=args.image, crop=args.crop, seed=args.seed,
+                noise_sigma=args.noise_sigma, kernel_size=9, kernel_sigma=2.0,
+                window_shape=args.window_shape, algorithm=algorithm,
+            )
+            for report in certify_grid(build_problem(cfg), grid, power_tol=args.power_tol):
+                rows.append(f"{algorithm},{report.csv_row()}")
+                print(rows[-1])
     Path(args.out).write_text(
         "algorithm," + SWEEP_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     )

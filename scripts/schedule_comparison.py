@@ -5,27 +5,14 @@ Approximates the unique limit with a long run under the classic t-sequence
 momentum, then traces the distance of each schedule's iterates to that limit.
 One CSV per schedule; the constant(0) schedule is the non-accelerated
 baseline iteration.
+
+The problem and the runs are those of ``pnpcert schedules`` on the matching
+config: the CLI defaults, a hat window and the options below.
 """
 
 import argparse
-from pathlib import Path
 
-import numpy as np
-
-from pnpcert import (
-    KernelParams,
-    Rng,
-    SolverConfig,
-    build_denoiser,
-    lambda_max_gram,
-    load_pgm,
-    make_guide,
-    make_inpaint,
-    observe,
-    parse_schedule,
-    pnp_fista,
-)
-from pnpcert.cli import _center_crop, _schedule_filename
+from pnpcert.cli import ExperimentConfig, compare_schedules
 
 
 def main():
@@ -44,29 +31,12 @@ def main():
     parser.add_argument("--out", default="schedules_out")
     args = parser.parse_args()
 
-    truth = _center_crop(load_pgm(args.image), args.crop)
-    op = make_inpaint(truth.rows, truth.cols, args.mask_fraction, Rng(args.seed))
-    b = observe(op, truth, args.noise_sigma, Rng(args.seed + 1))
-    den = build_denoiser(make_guide("inpaint", b, op),
-                         KernelParams(window_shape="hat"), "dsg")
-    gamma = args.gamma / lambda_max_gram(op).value
-    x0 = np.zeros(op.n)
-
-    ref_cfg = SolverConfig(gamma=gamma, max_iter=args.ref_iters, stop_tol=0.0)
-    ref = pnp_fista(op, b, den, ref_cfg, parse_schedule("beck"), x0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "reference.npy", ref.final)
-
-    cfg = SolverConfig(gamma=gamma, max_iter=args.max_iter, stop_tol=1e-9)
-    for spec in args.schedules.split(","):
-        sched = parse_schedule(spec)
-        trace = pnp_fista(op, b, den, cfg, sched, x0,
-                          truth=truth.data, x_ref=ref.final)
-        path = out / _schedule_filename(sched.label())
-        trace.write_csv(path)
-        print(f"{sched.label():>16}: {trace.iterations:6d} iterations, "
-              f"final distance {trace.dist_to_ref[-1]:.3e} -> {path}")
+    cfg = ExperimentConfig(
+        task="inpaint", image=args.image, crop=args.crop, seed=args.seed,
+        mask_fraction=args.mask_fraction, noise_sigma=args.noise_sigma,
+        window_shape="hat", gamma=args.gamma, max_iter=args.max_iter, out=args.out,
+    )
+    compare_schedules(cfg, args.schedules, args.ref_iters)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,11 @@ comments. Unknown keys are rejected. The ``gamma`` key is a fraction of the
 certified step-size bound: the solver uses gamma / lambda_hat where
 lambda_hat is the largest Gram eigenvalue, exact from the operator's
 structure (an ARPACK estimate for the degree-rescaled Gram map of the
-scaled algorithm). The ``cg_tol`` and ``cg_max_iter`` keys are accepted and
-have no effect: the quadratic prox is solved exactly.
+scaled algorithm). ``iteration_operator`` turns a grid value into the
+iteration map: ``run`` and ``schedules`` iterate the map ``certify``
+certifies at grid value ``gamma`` (1/L for red_apg). The ``cg_tol`` and
+``cg_max_iter`` keys are accepted and have no effect: the quadratic prox is
+solved exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
 """
@@ -64,20 +67,40 @@ class ExperimentConfig:
     init: str = "zeros"              # zeros | backprojection | random
     out: str = "out"
 
+    def __post_init__(self):
+        checks = [
+            (self.task in (None, "inpaint", "deblur", "superres"), f"task: {self.task!r}"),
+            (self.crop >= 0, "crop must be >= 0"),
+            (self.noise_sigma >= 0, "noise_sigma must be >= 0"),
+            (0 < self.mask_fraction <= 1, "mask_fraction must be in (0, 1]"),
+            (self.kernel_size >= 1 and self.kernel_size % 2 == 1, "kernel_size must be odd"),
+            (self.kernel_sigma > 0, "kernel_sigma must be positive"),
+            (self.sr_factor >= 1, "sr_factor must be >= 1"),
+            (self.denoiser in ("nlm", "dsg"), f"denoiser: {self.denoiser!r}"),
+            (self.algorithm in ("pnp_fista", "red_apg", "scaled_pnp_fista"),
+             f"algorithm: {self.algorithm!r}"),
+            (self.gamma > 0, "gamma must be positive"),
+            (self.lam > 0, "lambda must be positive"),
+            (self.init in ("zeros", "backprojection", "random"), f"init: {self.init!r}"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
+        try:
+            solvers.parse_schedule(self.schedule)
+            _kernel_params(self)
+            _solver_config(self, None)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
 
 _KEY_FOR_FIELD = {f.name: f.name for f in fields(ExperimentConfig)}
 _KEY_FOR_FIELD["lam"] = "lambda"
 _FIELD_FOR_KEY = {v: k for k, v in _KEY_FOR_FIELD.items()}
-
+# a key parses to the type of its field's default; a None default means str
 _PARSERS = {
-    "task": str, "image": str, "denoiser": str, "window_shape": str,
-    "algorithm": str, "schedule": str, "init": str, "out": str,
-    "crop": int, "seed": int, "kernel_size": int, "sr_factor": int,
-    "patch_radius": int, "window_radius": int, "max_iter": int,
-    "cg_max_iter": int, "guide_warmup_iters": int,
-    "noise_sigma": float, "mask_fraction": float, "kernel_sigma": float,
-    "bandwidth": float, "gamma": float, "lambda": float, "L": float,
-    "stop_tol": float, "cg_tol": float,
+    _KEY_FOR_FIELD[f.name]: str if f.default is None else type(f.default)
+    for f in fields(ExperimentConfig)
 }
 
 
@@ -104,43 +127,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {value!r}") from None
         if _PARSERS[key] is float and not np.isfinite(values[key]):
             raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
-    cfg = ExperimentConfig(**{_FIELD_FOR_KEY[k]: v for k, v in values.items()})
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: ExperimentConfig) -> None:
-    checks = [
-        (cfg.task in (None, "inpaint", "deblur", "superres"), f"task: {cfg.task!r}"),
-        (cfg.crop >= 0, "crop must be >= 0"),
-        (cfg.noise_sigma >= 0, "noise_sigma must be >= 0"),
-        (0 < cfg.mask_fraction <= 1, "mask_fraction must be in (0, 1]"),
-        (cfg.kernel_size >= 1 and cfg.kernel_size % 2 == 1, "kernel_size must be odd"),
-        (cfg.kernel_sigma > 0, "kernel_sigma must be positive"),
-        (cfg.sr_factor >= 1, "sr_factor must be >= 1"),
-        (cfg.denoiser in ("nlm", "dsg"), f"denoiser: {cfg.denoiser!r}"),
-        (cfg.window_shape in ("box", "hat"), f"window_shape: {cfg.window_shape!r}"),
-        (cfg.algorithm in ("pnp_fista", "red_apg", "scaled_pnp_fista"),
-         f"algorithm: {cfg.algorithm!r}"),
-        (cfg.gamma > 0, "gamma must be positive"),
-        (cfg.lam > 0, "lambda must be positive"),
-        (cfg.L >= 1, "L must be >= 1"),
-        (cfg.init in ("zeros", "backprojection", "random"), f"init: {cfg.init!r}"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-    try:
-        solvers.parse_schedule(cfg.schedule)
-        kernel_denoise.KernelParams(
-            cfg.patch_radius, cfg.window_radius, cfg.bandwidth, cfg.window_shape
-        )
-        solvers.SolverConfig(
-            gamma=1.0, lam=cfg.lam, L=cfg.L, max_iter=cfg.max_iter,
-            stop_tol=cfg.stop_tol, guide_warmup_iters=cfg.guide_warmup_iters,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**{_FIELD_FOR_KEY[k]: v for k, v in values.items()})
 
 
 def _require(cfg: ExperimentConfig, *names: str) -> None:
@@ -158,6 +145,26 @@ def _center_crop(img: Image, side: int) -> Image:
     return Image.from_grid(g)
 
 
+def _kernel_params(cfg: ExperimentConfig) -> kernel_denoise.KernelParams:
+    return kernel_denoise.KernelParams(
+        cfg.patch_radius, cfg.window_radius, cfg.bandwidth, cfg.window_shape
+    )
+
+
+def _solver_config(
+    cfg: ExperimentConfig,
+    gamma_abs: float | None,
+    max_iter: int | None = None,
+    stop_tol: float | None = None,
+) -> solvers.SolverConfig:
+    return solvers.SolverConfig(
+        gamma=gamma_abs, lam=cfg.lam, L=cfg.L,
+        max_iter=cfg.max_iter if max_iter is None else max_iter,
+        stop_tol=cfg.stop_tol if stop_tol is None else stop_tol,
+        guide_warmup_iters=cfg.guide_warmup_iters,
+    )
+
+
 @dataclass
 class Problem:
     cfg: ExperimentConfig
@@ -167,6 +174,10 @@ class Problem:
     guide: Image
     denoiser: kernel_denoise.KernelDenoiser
     lambda_hat: fwdops.EigenEstimate
+
+    def step_size(self, fraction: float) -> float:
+        """The absolute pnp step for a fraction of the bound 1 / lambda_hat."""
+        return fraction / self.lambda_hat.value
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
@@ -189,21 +200,11 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
             op = fwdops.make_superres(truth.rows, truth.cols, kernel, cfg.sr_factor)
     observed = fwdops.observe(op, truth, cfg.noise_sigma, rng)
     guide = kernel_denoise.make_guide(cfg.task, observed, op)
-    params = kernel_denoise.KernelParams(
-        cfg.patch_radius, cfg.window_radius, cfg.bandwidth, cfg.window_shape
-    )
     mode = "nlm" if cfg.algorithm == "scaled_pnp_fista" else cfg.denoiser
-    denoiser = kernel_denoise.build_denoiser(guide, params, mode)
+    denoiser = kernel_denoise.build_denoiser(guide, _kernel_params(cfg), mode)
     diag = denoiser.degrees if cfg.algorithm == "scaled_pnp_fista" else None
     lam_hat = fwdops.lambda_max_gram(op, diag=diag)
     return Problem(cfg, truth, op, observed, guide, denoiser, lam_hat)
-
-
-def _solver_config(cfg: ExperimentConfig, gamma_abs: float | None) -> solvers.SolverConfig:
-    return solvers.SolverConfig(
-        gamma=gamma_abs, lam=cfg.lam, L=cfg.L, max_iter=cfg.max_iter,
-        stop_tol=cfg.stop_tol, guide_warmup_iters=cfg.guide_warmup_iters,
-    )
 
 
 def _initial_vector(cfg: ExperimentConfig, prob: Problem) -> np.ndarray:
@@ -222,39 +223,23 @@ def run_solver(
     max_iter: int | None = None,
     stop_tol: float | None = None,
 ) -> solvers.SolverTrace:
+    """Run the configured solver from x0.
+
+    It iterates the map ``iteration_operator`` certifies at grid value gamma
+    (pnp kinds) or 1/L (red): the step is ``prob.step_size(gamma)``, and
+    ``SolverConfig`` derives theta = 1/L and mu = theta / lambda.
+    """
     cfg = prob.cfg
-    gamma_abs = cfg.gamma / prob.lambda_hat.value
-    config = _solver_config(cfg, gamma_abs)
-    if max_iter is not None or stop_tol is not None:
-        config = replace(
-            config,
-            max_iter=config.max_iter if max_iter is None else max_iter,
-            stop_tol=config.stop_tol if stop_tol is None else stop_tol,
-        )
-    factory = None
+    config = _solver_config(cfg, prob.step_size(cfg.gamma), max_iter, stop_tol)
+    kwargs = dict(truth=prob.truth.data, x_ref=x_ref)
     if cfg.guide_warmup_iters > 0:
         if cfg.algorithm != "pnp_fista":
             raise ConfigError("guide_warmup_iters is only supported with pnp_fista")
-        params = kernel_denoise.KernelParams(
-            cfg.patch_radius, cfg.window_radius, cfg.bandwidth, cfg.window_shape
+        kwargs["denoiser_factory"] = lambda g: kernel_denoise.build_denoiser(
+            Image(g, prob.truth.rows, prob.truth.cols), _kernel_params(cfg), prob.denoiser.mode
         )
-        mode = prob.denoiser.mode
-        factory = lambda g: kernel_denoise.build_denoiser(
-            Image(g, prob.truth.rows, prob.truth.cols), params, mode
-        )
-    kwargs = dict(truth=prob.truth.data, x_ref=x_ref)
-    if cfg.algorithm == "pnp_fista":
-        return solvers.pnp_fista(
-            prob.op, prob.observed, prob.denoiser, config, schedule, x0,
-            denoiser_factory=factory, **kwargs,
-        )
-    if cfg.algorithm == "red_apg":
-        return solvers.red_apg(
-            prob.op, prob.observed, prob.denoiser, config, schedule, x0, **kwargs
-        )
-    return solvers.scaled_pnp_fista(
-        prob.op, prob.observed, prob.denoiser, config, schedule, x0, **kwargs
-    )
+    solver = getattr(solvers, cfg.algorithm)  # pnp_fista | red_apg | scaled_pnp_fista
+    return solver(prob.op, prob.observed, prob.denoiser, config, schedule, x0, **kwargs)
 
 
 def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOperator:
@@ -264,17 +249,30 @@ def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOp
     1/L, so theta = grid_value and mu = grid_value / lambda.
     """
     cfg = prob.cfg
-    if cfg.algorithm == "pnp_fista":
-        return spectral.pnp_operator(prob.op, prob.denoiser, grid_value / prob.lambda_hat.value)
-    if cfg.algorithm == "scaled_pnp_fista":
-        return spectral.scaled_operator(
-            prob.op, prob.denoiser, grid_value / prob.lambda_hat.value
+    if cfg.algorithm == "red_apg":
+        if not 0 < grid_value <= 1:
+            raise ConfigError("red grid values are 1/L and must lie in (0, 1]")
+        return spectral.red_operator(
+            prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value
         )
-    if not 0 < grid_value <= 1:
-        raise ConfigError("red grid values are 1/L and must lie in (0, 1]")
-    return spectral.red_operator(
-        prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value
-    )
+    make = spectral.pnp_operator if cfg.algorithm == "pnp_fista" else spectral.scaled_operator
+    return make(prob.op, prob.denoiser, prob.step_size(grid_value))
+
+
+def certify_grid(prob: Problem, grid, **eigensolver) -> list[spectral.SpectralReport]:
+    """One report per grid value, each on the map ``iteration_operator`` builds.
+
+    The assumption checks do not depend on the grid value and run once;
+    ``eigensolver`` holds ``build_report``'s ``power_tol``/``power_max_iter``.
+    """
+    checks = spectral.check_assumption(prob.denoiser, prob.op)
+    return [
+        spectral.build_report(
+            prob.cfg.task, iteration_operator(prob, value), value, prob.lambda_hat.value,
+            checks, **eigensolver,
+        )
+        for value in grid
+    ]
 
 
 def _load_reference(path, n: int) -> np.ndarray:
@@ -303,8 +301,7 @@ def _fmt(value) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(parse_config(args.config), args)
     prob = build_problem(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,7 +321,7 @@ def cmd_run(args) -> int:
         ("cols", prob.truth.cols),
         ("seed", cfg.seed),
         ("lambda_hat", _fmt(prob.lambda_hat.value)),
-        ("gamma_abs", _fmt(cfg.gamma / prob.lambda_hat.value)),
+        ("gamma_abs", _fmt(prob.step_size(cfg.gamma))),
         ("iterations", trace.iterations),
         ("converged", _fmt(trace.converged)),
         ("final_step_norm", _fmt(float(trace.step_norm[-1]))),
@@ -363,49 +360,49 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _grid_label(value: float) -> str:
-    """File-name form of a grid value: its ``:g`` form when exact, else its repr."""
-    text = f"{value:g}"
-    if float(text) != value:
-        text = repr(value)
+def _slug(text: str) -> str:
+    """File-name form of a label: each run of other characters becomes one '_'."""
     return re.sub(r"[^0-9a-zA-Z]+", "_", text).strip("_")
 
 
+def _grid_label(value: float) -> str:
+    """File-name form of a grid value: its ``:g`` form when exact, else its repr."""
+    text = f"{value:g}"
+    return _slug(text if float(text) == value else repr(value))
+
+
 def cmd_certify(args) -> int:
-    cfg = parse_config(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(parse_config(args.config), args)
     grid = _parse_grid(args.grid)
     prob = build_problem(cfg)
     out = Path(cfg.out)
     (out / "reports").mkdir(parents=True, exist_ok=True)
-    checks = spectral.check_assumption(prob.denoiser, prob.op)
     rows = []
-    for value in grid:
-        iter_op = iteration_operator(prob, value)
-        report = spectral.build_report(
-            cfg.task, iter_op, value, prob.lambda_hat.value, checks,
-            power_tol=args.power_tol, power_max_iter=args.power_max_iter,
-        )
-        rows.append(report.csv_row())
-        name = f"{cfg.algorithm}_{_grid_label(value)}"
+    for report in certify_grid(
+        prob, grid, power_tol=args.power_tol, power_max_iter=args.power_max_iter
+    ):
+        name = f"{cfg.algorithm}_{_grid_label(report.grid_value)}"
         (out / "reports" / f"{name}.txt").write_text(report.to_kv())
-        print(report.csv_row())
+        rows.append(report.csv_row())
+        print(rows[-1])
     (out / "certify.csv").write_text(
         spectral.SWEEP_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     )
     return EXIT_OK
 
 
-def _schedule_filename(label: str) -> str:
-    return "schedule_" + re.sub(r"[^0-9a-zA-Z]+", "_", label).strip("_") + ".csv"
-
-
 def cmd_schedules(args) -> int:
-    cfg = parse_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    if args.ref_iters <= 0:
+    cfg = _apply_overrides(parse_config(args.config), args)
+    compare_schedules(cfg, args.schedules, args.ref_iters)
+    return EXIT_OK
+
+
+def compare_schedules(cfg: ExperimentConfig, spec_list: str, ref_iters: int) -> None:
+    """Trace each comma-separated schedule spec against a ``ref_iters``-step
+    beck reference run; write reference.npy and schedule_<name>.csv files."""
+    if ref_iters <= 0:
         raise ConfigError("a positive --ref-iters reference run is required")
-    specs = [s.strip() for s in args.schedules.split(",") if s.strip()]
+    specs = [s.strip() for s in spec_list.split(",") if s.strip()]
     if not specs:
         raise ConfigError("at least one schedule is required")
     schedules = [solvers.parse_schedule(s) for s in specs]
@@ -415,16 +412,15 @@ def cmd_schedules(args) -> int:
     x0 = _initial_vector(cfg, prob)
     ref = run_solver(
         prob, solvers.MomentumSchedule("beck"), x0,
-        max_iter=args.ref_iters, stop_tol=0.0,
+        max_iter=ref_iters, stop_tol=0.0,
     )
     np.save(out / "reference.npy", ref.final)
     for sched in schedules:
         trace = run_solver(prob, sched, x0, x_ref=ref.final)
-        path = out / _schedule_filename(sched.label())
+        path = out / f"schedule_{_slug(sched.label())}.csv"
         trace.write_csv(path)
         print(f"{sched.label()}: {trace.iterations} iterations, final distance "
               f"{trace.dist_to_ref[-1]:.3e} -> {path}")
-    return EXIT_OK
 
 
 def cmd_denoise(args) -> int:
@@ -437,10 +433,7 @@ def cmd_denoise(args) -> int:
         )
     if min(noisy.rows, noisy.cols) < 2:
         raise ConfigError("image must be at least 2x2 for a kernel denoiser")
-    params = kernel_denoise.KernelParams(
-        cfg.patch_radius, cfg.window_radius, cfg.bandwidth, cfg.window_shape
-    )
-    denoiser = kernel_denoise.build_denoiser(guide, params, cfg.denoiser)
+    denoiser = kernel_denoise.build_denoiser(guide, _kernel_params(cfg), cfg.denoiser)
     result = kernel_denoise.apply_w(denoiser, noisy.data)
     save_pgm(Image(result, noisy.rows, noisy.cols), args.out)
     print(f"wrote {args.out}")

@@ -26,7 +26,11 @@ from scipy import fft
 
 from .imgcore import Image, Rng, gaussian_noise, save_pgm
 
-_EIG_SEED = 0x9D2C5680  # fixed ARPACK start vector
+
+def arpack_start(n: int) -> np.ndarray:
+    """The start vector of every ARPACK solve: n standard normals from a fixed
+    seed of numpy's default generator, so each solve is deterministic."""
+    return np.random.default_rng(0x9D2C5680).standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class EigenEstimate:
 
 
 def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int) -> EigenEstimate:
-    """One eigenvalue of the linear map ``apply`` on R^n, from a seeded start.
+    """One eigenvalue of the linear map ``apply`` on R^n, from ``arpack_start(n)``.
 
     ``which`` is ARPACK's selector: "LA" for a symmetric map (``eigsh``),
     "LM" or "SR" for any (``eigs``; a non-real eigenvalue comes back complex).
@@ -60,7 +64,7 @@ def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int) -> E
     try:
         (mu,) = (eigsh if which == "LA" else eigs)(
             LinearOperator((n, n), matvec=counted, dtype=np.float64), k=1, which=which,
-            v0=gaussian_noise(Rng(_EIG_SEED), n, 1.0), tol=tol, maxiter=max_iter,
+            v0=arpack_start(n), tol=tol, maxiter=max_iter,
             return_eigenvectors=False,
         )
     except ArpackNoConvergence:
@@ -276,12 +280,8 @@ def lambda_max_gram(
     return arpack_eigenvalue(lambda v: dis * op.gram(dis * v), op.n, "LA", tol, max_iter)
 
 
-def export_mask(op: ForwardOp) -> Image:
-    """Inpainting mask as an image: observed pixels 1.0 (byte 255), missing 0.0."""
+def save_mask_pgm(op: ForwardOp, path) -> None:
+    """Write the inpainting mask as a PGM: observed pixels byte 255, missing 0."""
     if op.kind != "inpaint":
         raise ValueError("mask export is defined for inpainting operators only")
-    return Image(op.mask.astype(np.float64), op.rows_in, op.cols_in)
-
-
-def save_mask_pgm(op: ForwardOp, path) -> None:
-    save_pgm(export_mask(op), path)
+    save_pgm(Image(op.mask.astype(np.float64), op.rows_in, op.cols_in), path)

@@ -133,7 +133,9 @@ class SolverConfig:
 
     @property
     def mu(self) -> float:
-        return 1.0 / (self.lam * self.L)
+        """The red prox weight 1 / (lam L), written as the certifier writes it
+        for its grid value theta = 1/L, so that the two maps agree bitwise."""
+        return self.theta / self.lam
 
 
 @dataclass
@@ -314,7 +316,7 @@ def red_apg(
     """Proximal-then-blend iteration with momentum.
 
     for k >= 1:
-        x_k = argmin_x  mu/2 ||A x - b||^2 + 1/2 ||x - v_{k-1}||^2,  mu = 1/(lam L)
+        x_k = argmin_x  mu/2 ||A x - b||^2 + 1/2 ||x - v_{k-1}||^2,  mu = theta / lam
         y_k = x_k + alpha_k (x_k - x_{k-1})
         v_k = theta W y_k + (1 - theta) y_k,                          theta = 1/L
 

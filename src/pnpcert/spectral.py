@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
-    EigenEstimate, ForwardOp, arpack_eigenvalue, lambda_max_gram, solve_shifted_gram,
+    EigenEstimate, ForwardOp, arpack_eigenvalue, arpack_start, lambda_max_gram,
+    solve_shifted_gram,
 )
-from .imgcore import Rng, gaussian_noise
+from .imgcore import gaussian_noise  # unused here: a binding the benchmark tracer wraps
 from .kernel_denoise import KernelDenoiser
 
 
@@ -202,9 +203,9 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     from one sparse symmetric Lanczos solve (ARPACK ``eigsh``, both ends) on
     W for dsg weights, or on its degree-symmetrized similar form
     D^1/2 W D^-1/2 for nlm weights. The same path, with tolerance 1e-12,
-    serves every n >= 4; the start vector is seeded, so reports are
-    deterministic. If ARPACK does not converge, the spectrum values are NaN
-    and both spectrum verdicts are False.
+    serves every n >= 4; the start vector is ``fwdops.arpack_start``, so
+    reports are deterministic. If ARPACK does not converge, the spectrum
+    values are NaN and both spectrum verdicts are False.
     """
     # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -214,7 +215,7 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     defect = float(np.abs(denoiser.weights @ ones - ones).max())
     a_one = float(np.linalg.norm(op.apply(ones)))
     sym = denoiser.symmetric
-    v0 = gaussian_noise(Rng(0xDEF1A7E), n, 1.0)
+    v0 = arpack_start(n)
     try:
         ends = eigsh(sym, k=3, which="BE", v0=v0, tol=1e-12, return_eigenvectors=False)
     except ArpackNoConvergence:

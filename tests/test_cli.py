@@ -1,7 +1,10 @@
+from dataclasses import fields
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
-from pnpcert import Image, gaussian_kernel, load_pgm, make_superres, save_pgm
+from pnpcert import Image, gaussian_kernel, load_pgm, make_superres, save_pgm, solvers, spectral
 from pnpcert.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -52,6 +55,14 @@ def write_config(tmp_path, **over):
 
 def read_kv(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def spy(fn, position, seen):
+    """``fn``, recording its positional argument ``position`` in ``seen`` on each call."""
+    def wrapper(*args, **kwargs):
+        seen.append(args[position])
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def superres_lambda_max(side, kernel_size, kernel_sigma, factor):
@@ -109,6 +120,15 @@ class TestParseConfig:
         path = tmp_path / "ok.cfg"
         path.write_text("\n# full line\nseed = 7  # trailing\n\n")
         assert parse_config(path).seed == 7
+
+    @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_every_key_parses_to_its_field_type(self, tmp_path, field):
+        key = "lambda" if field.name == "lam" else field.name
+        text = {"task": "deblur", "image": "img.pgm"}.get(key, field.default)
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {text}\n")
+        value = getattr(parse_config(path), field.name)
+        assert type(value).__name__ == field.type.split(" | ")[0]
 
 
 class TestRun:
@@ -377,6 +397,33 @@ class TestCertify:
         cfg_path = write_config(tmp_path)
         assert main(["certify", "--config", str(cfg_path), "--grid", grid]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+
+class TestSameMap:
+    """``run`` iterates bitwise the map ``certify`` certifies at grid value
+    gamma, or 1/L for red."""
+
+    @pytest.mark.parametrize("algorithm, denoiser, over", [
+        ("pnp_fista", "dsg", {}),
+        ("scaled_pnp_fista", "nlm", {}),
+        ("red_apg", "dsg", {"lambda": 0.7, "L": 3}),
+    ])
+    def test_run_iterates_the_certified_map(self, tmp_path, monkeypatch, algorithm,
+                                            denoiser, over):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, algorithm=algorithm, denoiser=denoiser,
+                                max_iter=3, **over)
+        ran, certified = [], []
+        monkeypatch.setattr(solvers, "_accelerate", spy(solvers._accelerate, 0, ran))
+        monkeypatch.setattr(spectral, "build_report", spy(spectral.build_report, 1, certified))
+        grid = 1.0 / over["L"] if algorithm == "red_apg" else 0.9
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["certify", "--config", str(cfg_path), "--grid", repr(grid)]) == EXIT_OK
+        (run_map,), (certified_map,) = ran, certified
+        params = attrgetter("kind", "gamma", "mu", "theta")
+        assert params(run_map) == params(certified_map)
+        assert run_map.kind == {"pnp_fista": "pnp", "scaled_pnp_fista": "scaled_pnp",
+                                "red_apg": "red"}[algorithm]
 
 
 class TestSchedules:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from pnpcert.cli import main
+
 from conftest import run_script
 
 
@@ -32,3 +34,24 @@ def test_schedule_comparison(tmp_path, monkeypatch):
         assert header == "k,alpha,step_norm,dist_to_ref,psnr"
         dist = [float(line.split(",")[3]) for line in lines]
         assert dist[-1] < dist[0]
+
+
+def test_sweep_rows_are_cli_certify_rows(tmp_path, monkeypatch):
+    image, out = tmp_path / "img.pgm", tmp_path / "sweep.csv"
+    run_script(monkeypatch, "make_test_image.py", "--rows", "32", "--cols", "32",
+               "--out", str(image))
+    run_script(monkeypatch, "certify_sweep.py", str(image), "--crop", "16",
+               "--grid", "0.5", "--out", str(out))
+    sweep = out.read_text().splitlines()[1:]
+    cli_rows = []
+    for task in ("inpaint", "deblur"):
+        for algorithm in ("pnp_fista", "red_apg"):
+            cfg = tmp_path / f"{task}_{algorithm}.cfg"
+            cfg.write_text(f"task = {task}\nimage = {image}\ncrop = 16\nkernel_size = 9\n"
+                           f"kernel_sigma = 2.0\nwindow_shape = hat\nalgorithm = {algorithm}\n"
+                           f"out = {tmp_path / cfg.stem}\n")
+            assert main(["certify", "--config", str(cfg), "--grid", "0.5",
+                         "--power-tol", "1e-9"]) == 0
+            row = (tmp_path / cfg.stem / "certify.csv").read_text().splitlines()[1]
+            cli_rows.append(f"{algorithm},{row}")
+    assert sweep == cli_rows
