@@ -5,8 +5,11 @@ distance, masked by a window function around i. Two normalizations of the
 affinity matrix K are provided: the row-stochastic non-local-means weights
 D^-1 K, and the symmetric doubly stochastic variant (DSG-NLM) built from
 the two-sided normalization D^-1/2 K D^-1/2 plus a diagonal correction.
-K's CSR arrays are filled directly from its window stencil; W scales a new
-data vector and shares K's index arrays.
+Every row uses the same window stencil, so K and W are banded: they are
+stored as scipy DIA matrices with one band per flat window offset
+di * cols + dj (Saad, Iterative Methods for Sparse Linear Systems, 3.4).
+The bands are sorted by offset, so a product adds each row's terms in
+ascending column order, as a CSR product does.
 
 Both act on images as a fixed sparse matrix-vector product once built, so
 the denoiser is an exactly linear map.
@@ -50,25 +53,34 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class KernelDenoiser:
-    """Weights W sharing the index arrays of K, and D; dsg keeps no K."""
+    """Weights W as bands, and the degrees D; dsg keeps no K."""
 
-    kernel: sparse.csr_matrix | None  # K, symmetric nonnegative, positive diagonal
+    kernel: sparse.dia_matrix | None  # K, symmetric nonnegative, positive diagonal
     degrees: np.ndarray         # D = K 1
-    weights: sparse.csr_matrix  # W, row-stochastic
+    bands: sparse.dia_matrix    # W, row-stochastic
     mode: str                   # "nlm" | "dsg"
     norm_scale: float | None = None  # max of D^-1/2 K D^-1/2 1 (dsg only)
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.bands.shape[0]
+
+    @property
+    def weights(self) -> sparse.csr_matrix:
+        """W as a new CSR matrix on every access, without stored zeros.
+
+        For code that reads CSR arrays, such as the benchmark's tracer and
+        oracle; the package itself multiplies with ``bands``.
+        """
+        return self.bands.tocsr()
 
     @cached_property
-    def symmetric(self) -> sparse.csr_matrix:
+    def symmetric(self) -> sparse.dia_matrix:
         """W's symmetric similar form, built once: W for dsg, D^-1/2 K D^-1/2 for nlm."""
         if self.kernel is None:
-            return self.weights
+            return self.bands
         dis = 1.0 / np.sqrt(self.degrees)
-        return _scaled(self.kernel, dis, dis)
+        return _scale(self.kernel.copy(), dis, dis)
 
 
 def _window_value(di: int, dj: int, params: KernelParams) -> float:
@@ -76,21 +88,6 @@ def _window_value(di: int, dj: int, params: KernelParams) -> float:
     if params.window_shape == "box":
         return 1.0
     return (1.0 - abs(di) / (r + 1.0)) * (1.0 - abs(dj) / (r + 1.0))
-
-
-def _stencil(size: int, wr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per position on one axis: the in-image window offsets below it, and in all."""
-    below = np.minimum(np.arange(size), wr)
-    return below, below + np.minimum(np.arange(size)[::-1], wr) + 1
-
-
-def _kernel_nnz(rows: int, cols: int, wr: int) -> int:
-    return int(_stencil(rows, wr)[1].sum()) * int(_stencil(cols, wr)[1].sum())
-
-
-def _index_dtype(nnz: int, n: int) -> type:
-    """int32 CSR indices while nnz and n fit, as ``coo_matrix.tocsr()`` chooses."""
-    return np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
 
 
 def _box_sums(sq: np.ndarray, side: int) -> np.ndarray:
@@ -105,7 +102,7 @@ def _box_sums(sq: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-def build_kernel(guide: Image, params: KernelParams) -> sparse.csr_matrix:
+def build_kernel(guide: Image, params: KernelParams) -> sparse.dia_matrix:
     """Assemble the sparse affinity matrix from the guide image.
 
     K_ij = exp(-||patch_i - patch_j||^2 / (2 * bandwidth^2 * p)) * h(i - j)
@@ -114,9 +111,13 @@ def build_kernel(guide: Image, params: KernelParams) -> sparse.csr_matrix:
     distances are box sums of the squared differences of the padded guide
     and its shift (Darbon et al., ISBI 2008): O(n) per offset, not O(n p),
     and never negative. Each unordered pair is computed once and written to
-    both of its slots, so K is symmetric bitwise; K_ii = 1 exactly. Row
-    (r, c) keeps offset (di, dj) at slot diag[r, c] + di * nc[c] + dj, where
-    diag[r, c] holds K_ii and nc[c] counts the in-image column offsets.
+    both of its bands, so K is symmetric bitwise; K_ii = 1 exactly.
+
+    A DIA band o holds the entry of row i, column j = i + o at position j.
+    Reshaped to the image grid, it is indexed by the column pixel, so pixel
+    offset (di, dj) fills one rectangle of band o and one of band -o. When
+    cols <= 2 * window_radius, two pixel offsets can share a flat offset;
+    they fill disjoint positions of its band. Positions with no entry hold 0.
     """
     rows, cols = guide.rows, guide.cols
     n = rows * cols
@@ -125,75 +126,69 @@ def build_kernel(guide: Image, params: KernelParams) -> sparse.csr_matrix:
     p = side * side
     padded = np.pad(guide.grid(), pr, mode="symmetric")
     denom = 2.0 * params.bandwidth**2 * p
-    (below_r, nr), (below_c, nc) = _stencil(rows, wr), _stencil(cols, wr)
-    nnz = _kernel_nnz(rows, cols, wr)
-    indptr = np.zeros(n + 1, dtype=(itype := _index_dtype(nnz, n)))
-    np.cumsum(np.outer(nr, nc), out=indptr[1:], dtype=itype)
-    diag = indptr[:-1].reshape(rows, cols) + (below_r[:, None] * nc + below_c)
-    idx = np.arange(n, dtype=itype).reshape(rows, cols)
-    data, indices = np.empty(nnz), np.empty(nnz, dtype=itype)
-    data[diag], indices[diag] = 1.0, idx
-    for di in range(0, wr + 1):
-        for dj in range(-wr if di > 0 else 1, wr + 1):
-            ra, rb = max(0, -di), min(rows, rows - di)
-            ca, cb = max(0, -dj), min(cols, cols - dj)
-            if ra >= rb or ca >= cb:
-                continue
-            a, b = np.s_[ra:rb, ca:cb], np.s_[ra + di : rb + di, ca + dj : cb + dj]
-            pa = np.s_[ra : rb + 2 * pr, ca : cb + 2 * pr]
-            pb = np.s_[ra + di : rb + di + 2 * pr, ca + dj : cb + dj + 2 * pr]
-            d2 = _box_sums((padded[pa] - padded[pb]) ** 2, side)
-            vals = np.exp(-d2 / denom) * _window_value(di, dj, params)
-            # pixel a stores offset (di, dj); its partner b stores (-di, -dj)
-            slot_a = diag[a] + (di * nc[ca:cb] + dj)
-            slot_b = diag[b] - (di * nc[ca + dj : cb + dj] + dj)
-            data[slot_a], indices[slot_a] = vals, idx[b]
-            data[slot_b], indices[slot_b] = vals, idx[a]
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    pairs = [(di, dj) for di in range(0, min(wr, rows - 1) + 1)
+             for dj in range(-wr if di > 0 else 1, wr + 1) if abs(dj) < cols]
+    flat = {di * cols + dj for di, dj in pairs}
+    offsets = np.array(sorted(flat | {0} | {-o for o in flat}), dtype=np.int32)
+    band = {int(o): k for k, o in enumerate(offsets)}
+    data = np.zeros((offsets.size, rows, cols))
+    data[band[0]] = 1.0
+    for di, dj in pairs:
+        rb, ca, cb = rows - di, max(0, -dj), min(cols, cols - dj)
+        a, b = np.s_[:rb, ca:cb], np.s_[di:, ca + dj : cb + dj]
+        pa, pb = np.s_[: rb + 2 * pr, ca : cb + 2 * pr], np.s_[di:, ca + dj : cb + dj + 2 * pr]
+        d2 = _box_sums((padded[pa] - padded[pb]) ** 2, side)
+        vals = np.exp(-d2 / denom) * _window_value(di, dj, params)
+        # K[a, b] sits at column b of band o, K[b, a] at column a of band -o
+        o = di * cols + dj
+        data[band[o]][b] = vals
+        data[band[-o]][a] = vals
+    return sparse.dia_matrix((data.reshape(offsets.size, n), offsets), shape=(n, n))
 
 
-_CHUNK = 1 << 16  # entries per gather in _scaled
+def _scale(bands: sparse.dia_matrix, left: np.ndarray, right=None) -> sparse.dia_matrix:
+    """In place, and returned: every entry K_ij becomes K_ij * left_i (* right_j)."""
+    n = bands.shape[0]
+    for row, o in zip(bands.data, bands.offsets):
+        lo, hi = max(0, o), min(n, n + o)  # the band's in-matrix columns j = i + o
+        row[lo:hi] *= left[lo - o : hi - o]
+    if right is not None:  # outside [lo, hi) a band holds zeros, which stay 0
+        bands.data *= right
+    return bands
 
 
-def _scaled(kernel: sparse.csr_matrix, left: np.ndarray, right=None) -> sparse.csr_matrix:
-    """K_ij * left_i (* right_j) in K's CSR order; it shares K's index arrays."""
-    data = np.repeat(left, np.diff(kernel.indptr))
-    data *= kernel.data
-    if right is not None:  # gathered a chunk at a time: no second nnz-sized array
-        for s in range(0, data.size, _CHUNK):
-            data[s : s + _CHUNK] *= right[kernel.indices[s : s + _CHUNK]]
-    return sparse.csr_matrix((data, kernel.indices, kernel.indptr), shape=kernel.shape)
-
-
-def build_nlm(kernel: sparse.csr_matrix) -> KernelDenoiser:
-    """Row-stochastic weights W = D^-1 K with D = diag(K 1)."""
-    deg = np.asarray(kernel.sum(axis=1)).ravel()
+def _degrees(kernel: sparse.dia_matrix) -> np.ndarray:
+    """D = K 1, each row summed in ascending column order."""
+    deg = kernel @ np.ones(kernel.shape[1])
     if np.any(deg <= 0):
         raise ValueError("affinity matrix has a nonpositive row sum")
-    W = _scaled(kernel, 1.0 / deg)
-    return KernelDenoiser(kernel=kernel, degrees=deg, weights=W, mode="nlm")
+    return deg
 
 
-def build_dsg(kernel: sparse.csr_matrix) -> KernelDenoiser:
+def build_nlm(kernel: sparse.dia_matrix) -> KernelDenoiser:
+    """Row-stochastic weights W = D^-1 K with D = diag(K 1)."""
+    deg = _degrees(kernel)
+    W = _scale(kernel.copy(), 1.0 / deg)
+    return KernelDenoiser(kernel=kernel, degrees=deg, bands=W, mode="nlm")
+
+
+def build_dsg(kernel: sparse.dia_matrix) -> KernelDenoiser:
     """Symmetric doubly stochastic weights.
 
     W = S / s_max + diag(1 - S 1 / s_max) with S = D^-1/2 K D^-1/2 and
     s_max the largest entry of S 1. The diagonal correction is nonnegative
-    by construction and restores exact row sums of 1; it is added in place
-    at the diagonal slots, which K must store.
+    by construction and restores exact row sums of 1; it is added to the
+    offset-0 band. K is consumed: its bands are scaled in place and become
+    W's, so build a second K for any other use.
     """
-    deg = np.asarray(kernel.sum(axis=1)).ravel()
-    if np.any(deg <= 0):
-        raise ValueError("affinity matrix has a nonpositive row sum")
-    rows = np.arange(kernel.shape[0], dtype=kernel.indices.dtype)
-    diag = np.flatnonzero(kernel.indices == np.repeat(rows, np.diff(kernel.indptr)))
+    deg = _degrees(kernel)
     dis = 1.0 / np.sqrt(deg)
-    W = _scaled(kernel, dis, dis)
-    one_hat = np.asarray(W.sum(axis=1)).ravel()
+    W = _scale(kernel, dis, dis)
+    one_hat = W @ np.ones(W.shape[1])
     s_max = float(one_hat.max())
     W.data *= 1 / s_max
-    W.data[diag] += 1.0 - one_hat / s_max
-    return KernelDenoiser(kernel=None, degrees=deg, weights=W, mode="dsg", norm_scale=s_max)
+    W.data[np.flatnonzero(W.offsets == 0)[0]] += 1.0 - one_hat / s_max
+    return KernelDenoiser(kernel=None, degrees=deg, bands=W, mode="dsg", norm_scale=s_max)
 
 
 def build_denoiser(guide: Image, params: KernelParams, mode: str) -> KernelDenoiser:
@@ -209,7 +204,7 @@ def apply_w(denoiser: KernelDenoiser, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != denoiser.n:
         raise ValueError(f"length mismatch: expected {denoiser.n}, got {x.size}")
-    return denoiser.weights @ x
+    return denoiser.bands @ x
 
 
 def make_guide(task: str, observed: np.ndarray, op: ForwardOp) -> Image:

@@ -73,7 +73,7 @@ class IterationOperator:
 
         The solvers iterate this method, so it takes no copies and no checks.
         """
-        W = self.denoiser.weights
+        W = self.denoiser.bands
         if self.kind == "pnp":
             return W @ (x - self.gamma * (self.op.gram(x) - data))
         if self.kind == "scaled_pnp":
@@ -212,7 +212,7 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
 
     n = denoiser.n
     ones = np.ones(n)
-    defect = float(np.abs(denoiser.weights @ ones - ones).max())
+    defect = float(np.abs(denoiser.bands @ ones - ones).max())
     a_one = float(np.linalg.norm(op.apply(ones)))
     sym = denoiser.symmetric
     v0 = arpack_start(n)

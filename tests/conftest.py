@@ -122,9 +122,18 @@ def reference_kernel(guide: Image, params, box_order: bool = False) -> sparse.cs
     return K
 
 
-def reference_nlm(K: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray]:
+def reference_row_sums(K: sparse.csr_matrix, band_order: bool = False) -> np.ndarray:
+    """K 1 by ``sum``, or, with ``band_order``, by a CSR product with ones,
+    which adds each row in ascending column order as the bands' product does."""
+    if band_order:
+        return K @ np.ones(K.shape[1])
+    return np.asarray(K.sum(axis=1)).ravel()
+
+
+def reference_nlm(K: sparse.csr_matrix, band_order: bool = False,
+                  ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """(W, D) of the nlm weights by broadcasting ``multiply``."""
-    deg = np.asarray(K.sum(axis=1)).ravel()
+    deg = reference_row_sums(K, band_order)
     W = sparse.csr_matrix(K.multiply(1.0 / deg[:, None]))
     W.sort_indices()
     return W, deg
@@ -136,11 +145,12 @@ def reference_symmetric(K: sparse.csr_matrix, deg: np.ndarray) -> sparse.csr_mat
     return K.multiply(dis[:, None]).multiply(dis[None, :]).tocsr()
 
 
-def reference_dsg(K: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray, float]:
+def reference_dsg(K: sparse.csr_matrix, band_order: bool = False,
+                  ) -> tuple[sparse.csr_matrix, np.ndarray, float]:
     """(W, D, s_max) of the dsg weights by sparse sums: S / s_max + diag(1 - S 1 / s_max)."""
-    deg = np.asarray(K.sum(axis=1)).ravel()
+    deg = reference_row_sums(K, band_order)
     S = reference_symmetric(K, deg)
-    one_hat = np.asarray(S.sum(axis=1)).ravel()
+    one_hat = reference_row_sums(S, band_order)
     s_max = float(one_hat.max())
     W = sparse.csr_matrix(S / s_max + sparse.diags(1.0 - one_hat / s_max))
     W.sort_indices()

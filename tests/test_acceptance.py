@@ -90,9 +90,10 @@ def test_criterion_1():
     params = KernelParams()  # shipped defaults: 5x5 patches, 11x11 box window
     for seed in range(10):
         guide = Image(Rng(seed).uniforms(256), 16, 16)
-        kernel = build_kernel(guide, params)
         ones = np.ones(256)
-        for den in (build_nlm(kernel), build_dsg(kernel)):
+        # build_dsg scales its K in place, so each normalization gets its own
+        for den in (build_nlm(build_kernel(guide, params)),
+                    build_dsg(build_kernel(guide, params))):
             assert np.abs(den.weights @ ones - 1.0).max() <= 1e-12
             if den.mode == "dsg":
                 defect = np.abs((den.weights - den.weights.T).toarray()).max()

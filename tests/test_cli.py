@@ -321,9 +321,9 @@ class TestCertify:
 
         # an nlm denoiser scales K on both sides only to build D^-1/2 K D^-1/2
         built = []
-        scaled = kernel_denoise._scaled
-        monkeypatch.setattr(kernel_denoise, "_scaled", lambda K, left, right=None: (
-            built.append(right is not None) or scaled(K, left, right)))
+        scale = kernel_denoise._scale
+        monkeypatch.setattr(kernel_denoise, "_scale", lambda K, left, right=None: (
+            built.append(right is not None) or scale(K, left, right)))
         write_truth(tmp_path, 24, 24)
         cfg_path = write_config(tmp_path, task="inpaint", denoiser="nlm",
                                 algorithm="scaled_pnp_fista")
@@ -424,6 +424,28 @@ class TestSameMap:
         assert params(run_map) == params(certified_map)
         assert run_map.kind == {"pnp_fista": "pnp", "scaled_pnp_fista": "scaled_pnp",
                                 "red_apg": "red"}[algorithm]
+
+
+    @pytest.mark.parametrize("task, algorithm, denoiser", [
+        ("inpaint", "pnp_fista", "dsg"),
+        ("deblur", "scaled_pnp_fista", "nlm"),
+        ("deblur", "red_apg", "dsg"),
+    ])
+    def test_commands_multiply_with_bands_only(self, tmp_path, monkeypatch, task, algorithm,
+                                               denoiser):
+        from pnpcert.kernel_denoise import KernelDenoiser
+
+        # ``weights`` converts the bands to a new CSR matrix on every access
+        reads = []
+        monkeypatch.setattr(KernelDenoiser, "weights", property(
+            lambda den: reads.append(den) or den.bands.tocsr()))
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task=task, algorithm=algorithm, denoiser=denoiser,
+                                max_iter=5)
+        for argv in (["run"], ["certify", "--grid", "0.5"],
+                     ["schedules", "--schedules", "beck", "--ref-iters", "10"]):
+            assert main([*argv, "--config", str(cfg_path)]) == EXIT_OK
+        assert reads == []
 
 
 class TestSchedules:

@@ -25,7 +25,7 @@ from pnpcert import (
     observe,
     psnr,
 )
-from pnpcert.kernel_denoise import _index_dtype, _kernel_nnz, _window_value
+from pnpcert.kernel_denoise import _window_value
 
 from conftest import (
     reference_dsg,
@@ -130,11 +130,21 @@ def assert_same_csr(got, want):
         assert np.array_equal(a, b)
 
 
+def band_bytes(M) -> int:
+    return M.data.nbytes + M.offsets.nbytes
+
+
 def window_values(K, cols, params) -> np.ndarray:
-    """h(di, dj) of every stored entry of K, from its row and column pixels."""
+    """h(di, dj) of every stored entry of a CSR K, from its row and column pixels."""
     row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
     di, dj = K.indices // cols - row // cols, K.indices % cols - row % cols
     return np.broadcast_to(_window_value(di, dj, params), K.data.shape)
+
+
+def stencil(rows, cols, wr) -> np.ndarray:
+    """Dense n x n mask of the pixel pairs at most wr apart on both axes."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    return (np.abs(r[:, None] - r) <= wr) & (np.abs(c[:, None] - c) <= wr)
 
 
 def assert_within_summation_rounding(got, want, h, p):
@@ -157,10 +167,32 @@ def assert_within_summation_rounding(got, want, h, p):
     assert np.all(np.abs(got - want) <= bound)
 
 
+def assert_within_row_sum_rounding(got, want, m, mode):
+    """Weights normalized by row sums of K taken in two orders.
+
+    Two orders of adding m nonnegative terms differ by at most (m - 1) eps,
+    relatively (the bound of ``assert_within_summation_rounding`` on each
+    side). Each division, square root and product adds eps/2 on each side.
+    nlm: W_ij = K_ij / D_i is off by at most (m + 1) eps, relatively. dsg:
+    D^-1/2 K D^-1/2 is off by (m + 5) eps, its row sums and their maximum
+    s_max by (2 m + 4) eps, so an entry of W = S / s_max by (3 m + 11) eps,
+    relatively; on the diagonal the correction 1 - S 1 / s_max adds
+    (4 m + 10) eps absolutely, as every ratio S 1 / s_max is at most 1. The
+    factor 2 leaves room over first order.
+    """
+    eps = np.finfo(np.float64).eps
+    if mode == "nlm":
+        bound = 2.0 * (m + 1) * eps * want
+    else:
+        bound = 2.0 * eps * ((3 * m + 11) * want + (4 * m + 10) * np.eye(len(want)))
+    assert np.all(np.abs(got - want) <= bound)
+
+
 class TestCsrAssembly:
-    """Direct CSR assembly against the COO assemblies in ``conftest``: bitwise
-    in the box-sum order, to summation rounding in the flat patch order; the
-    normalizations of that K against broadcasting ones, bitwise."""
+    """Band assembly against the CSR assemblies in ``conftest``: bitwise in the
+    box-sum order, to summation rounding in the flat patch order; the
+    normalizations of that K against broadcasting ones, bitwise when the
+    references sum rows in the bands' order and to rounding otherwise."""
 
     @given(
         shape=st.sampled_from([(1, 7), (7, 1), (2, 2), (9, 13)]),
@@ -181,73 +213,83 @@ class TestCsrAssembly:
         guide = random_guide(*shape, seed, levels)
         params = KernelParams(patch_radius, window_radius, bandwidth, window_shape)
         K = build_kernel(guide, params)
-        assert_same_csr(K, reference_kernel(guide, params, box_order=True))
-        assert K.has_canonical_format
-        ref = reference_kernel(guide, params)
-        for a, b in zip(csr_arrays(K)[1:], csr_arrays(ref)[1:]):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        h = window_values(K, shape[1], params)
-        assert_within_summation_rounding(K.data, ref.data, h, (2 * patch_radius + 1) ** 2)
+        dense = K.toarray()
+        # dense forms: the bands keep affinities that underflowed to 0, as the
+        # reference does, but converting bands to CSR drops them
+        assert np.array_equal(dense, reference_kernel(guide, params, box_order=True).toarray())
+        ref = reference_kernel(guide, params)  # it stores the whole window stencil
+        in_stencil = stencil(*shape, window_radius)
+        assert ref.nnz == in_stencil.sum()
+        assert not np.any(dense[~in_stencil])
+        got = dense[in_stencil]  # row-major, as the CSR data of ref
+        h = window_values(ref, shape[1], params)
+        assert_within_summation_rounding(got, ref.data, h, (2 * patch_radius + 1) ** 2)
 
         # invariants, with no reference: bitwise symmetric, unit diagonal, and
         # 0 <= K_ij <= h(di, dj), which a negative distance would break
-        assert (K != K.T).nnz == 0
+        assert np.array_equal(dense, dense.T)
         assert np.array_equal(K.diagonal(), np.ones(K.shape[0]))
-        assert np.all(K.data >= 0.0)
-        assert np.all(K.data <= h)
-        before = [a.copy() for a in csr_arrays(K)]
+        assert np.all(got >= 0.0)
+        assert np.all(got <= h)
+        before = K.data.copy()
 
+        Kc = K.tocsr()
+        m = int(np.diff(ref.indptr).max())  # most terms in one row sum
         nlm = build_nlm(K)
-        W_ref, deg_ref = reference_nlm(K)
+        W_ref, deg_ref = reference_nlm(Kc, band_order=True)
         assert_same_csr(nlm.weights, W_ref)
+        assert np.array_equal(nlm.bands.toarray(), W_ref.toarray())
         assert np.array_equal(nlm.degrees, deg_ref)
-        assert_same_csr(nlm.symmetric, reference_symmetric(K, deg_ref))
+        assert_within_row_sum_rounding(nlm.bands.toarray(), reference_nlm(Kc)[0].toarray(),
+                                       m, "nlm")
+        assert np.array_equal(nlm.symmetric.toarray(),
+                              reference_symmetric(Kc, deg_ref).toarray())
         assert nlm.symmetric is nlm.symmetric  # built once, then cached
+        assert np.array_equal(K.data, before)  # build_nlm leaves K as it was
 
-        dsg = build_dsg(K)
-        W_ref, deg_ref, s_max = reference_dsg(K)
+        dsg = build_dsg(K2 := build_kernel(guide, params))
+        W_ref, deg_ref, s_max = reference_dsg(Kc, band_order=True)
         assert dsg.kernel is None
+        assert dsg.bands is K2  # scaled in place
         assert np.array_equal(dsg.degrees, deg_ref)
         assert dsg.norm_scale == s_max
-        assert dsg.weights.has_canonical_format
-        # the sparse sum of the reference drops affinities that underflowed
-        # to 0; W keeps K's pattern, so its only extra entries are those zeros
-        assert np.array_equal(dsg.weights.toarray(), W_ref.toarray())
-        trimmed = dsg.weights.copy()
-        trimmed.eliminate_zeros()
-        assert_same_csr(trimmed, W_ref)
-        if not np.any(K.data == 0):
-            assert_same_csr(dsg.weights, W_ref)
+        # both CSR forms drop affinities that underflowed to 0
+        assert_same_csr(dsg.weights, W_ref)
+        assert np.array_equal(dsg.bands.toarray(), W_ref.toarray())
+        assert_within_row_sum_rounding(dsg.bands.toarray(), reference_dsg(Kc)[0].toarray(),
+                                       m, "dsg")
 
-        # test_acceptance builds both normalizations from one K
-        for a, b in zip(csr_arrays(K), before):
-            assert np.array_equal(a, b)
-
-    def test_weights_share_kernel_index_arrays(self):
-        K = build_kernel(random_guide(6, 7, 22), KernelParams(1, 2, 0.1))
-        nlm, dsg = build_nlm(K), build_dsg(K)
+    def test_band_storage(self):
+        guide, params = random_guide(6, 7, 22), KernelParams(1, 2, 0.1)
+        K = build_kernel(guide, params)
+        nlm = build_nlm(K)
         assert nlm.kernel is K
-        for M in (nlm.weights, dsg.weights, nlm.symmetric):
-            assert np.shares_memory(M.indices, K.indices)
-            assert np.shares_memory(M.indptr, K.indptr)
-        assert dsg.symmetric is dsg.weights  # a dsg denoiser keeps no K
+        for M in (nlm.bands, nlm.symmetric):
+            assert not np.shares_memory(M.data, K.data)
+            assert np.array_equal(M.offsets, K.offsets)
+        K2 = build_kernel(guide, params)
+        dsg = build_dsg(K2)
+        assert dsg.bands is K2 and dsg.symmetric is dsg.bands  # a dsg denoiser keeps no K
+        for den in (nlm, dsg):  # a new CSR copy on every access
+            assert den.weights is not den.weights
+            assert not np.shares_memory(den.weights.data, den.bands.data)
 
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 13), (30, 17)])
     @pytest.mark.parametrize("window_radius", [1, 3, 6])
     def test_nnz_closed_form(self, rows, cols, window_radius):
+        # bandwidth 0.1 on one-pixel patches: every affinity is at least exp(-50)
         K = build_kernel(random_guide(rows, cols, 23), KernelParams(0, window_radius, 0.1))
-        assert _kernel_nnz(rows, cols, window_radius) == K.nnz
-        assert K.indices.dtype == K.indptr.dtype == np.int32
-
-    def test_index_dtype_flips_at_2_31(self):
-        assert _index_dtype(2**31 - 1, 2**31 - 1) is np.int32
-        assert _index_dtype(2**31, 10) is np.int64
-        assert _index_dtype(10, 2**31) is np.int64
+        mask = stencil(rows, cols, window_radius)
+        assert np.array_equal(K.toarray() != 0, mask)
+        per_axis = [sum(min(i, window_radius) + min(size - 1 - i, window_radius) + 1
+                        for i in range(size)) for size in (rows, cols)]
+        assert K.tocsr().nnz == per_axis[0] * per_axis[1]
+        # one band per distinct flat offset j - i, ascending
+        assert np.array_equal(K.offsets, np.unique(np.subtract(*np.nonzero(mask)[::-1])))
 
 
 class TestBuildMemory:
-    """tracemalloc sees numpy and scipy buffers; W stores 12 bytes per entry."""
+    """tracemalloc sees numpy and scipy buffers; W stores 8 bytes per band entry."""
 
     @pytest.mark.parametrize("mode", ["dsg", "nlm"])
     def test_peak_and_held_bytes(self, mode):
@@ -259,8 +301,9 @@ class TestBuildMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        w_bytes = sum(a.nbytes for a in csr_arrays(den.weights))
-        assert peak <= 3.0 * w_bytes
+        w_bytes = band_bytes(den.bands)
+        # dsg scales K's bands in place; nlm holds K's and W's
+        assert peak <= {"dsg": 1.2, "nlm": 2.2}[mode] * w_bytes
         if mode == "dsg":  # W and the degrees only
             assert held <= 1.1 * w_bytes
 
@@ -275,7 +318,7 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * sum(a.nbytes for a in csr_arrays(K))
+        assert peak <= 1.15 * band_bytes(K)
 
 
 class TestNlm:
@@ -326,10 +369,10 @@ class TestDsg:
         # identical rows share one correction value, rows attaining the max
         # row sum get exactly zero, and the correction is never negative
         guide = Image(np.full(81, 0.5), 9, 9)
-        K = build_kernel(guide, KernelParams(1, 1, 0.1))
-        den = build_dsg(K)
+        params = KernelParams(1, 1, 0.1)
+        den = build_dsg(build_kernel(guide, params))
         # a dsg denoiser keeps no K: S = D^-1/2 K D^-1/2 comes from the nlm one
-        one_hat = build_nlm(K).symmetric @ np.ones(81)
+        one_hat = build_nlm(build_kernel(guide, params)).symmetric @ np.ones(81)
         corr = 1.0 - one_hat / den.norm_scale
         interior = corr.reshape(9, 9)[2:7, 2:7].ravel()
         assert np.all(interior == interior[0])
@@ -389,6 +432,26 @@ class TestApplyW:
         lhs = apply_w(den, a * x + b * y)
         rhs = a * apply_w(den, x) + b * apply_w(den, y)
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+    @given(
+        shape=st.sampled_from([(1, 7), (7, 1), (5, 3), (3, 4), (9, 13), (12, 10)]),
+        window_radius=st.integers(1, 6),  # 2 * window_radius >= cols on the narrow shapes
+        mode=st.sampled_from(["dsg", "nlm"]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(shape=(5, 3), window_radius=2, mode="dsg", seed=1)  # offsets (0, 2), (1, -1) share
+    def test_band_product_matches_csr(self, shape, window_radius, mode, seed):
+        # bands sorted by offset add each row's terms in ascending column
+        # order, which is the order of a CSR product
+        guide = random_guide(*shape, seed)
+        den = build_denoiser(guide, KernelParams(1, window_radius, 0.1, "hat"), mode)
+        x = gaussian_noise(Rng(seed), den.n, 1.0)
+        assert np.array_equal(apply_w(den, x), den.weights @ x)
+        assert np.array_equal(den.symmetric @ x, den.symmetric.tocsr() @ x)
+        K = build_kernel(guide, KernelParams(1, window_radius, 0.1, "hat"))
+        assert np.array_equal(K @ x, K.tocsr() @ x)
 
 
 class TestMakeGuide:

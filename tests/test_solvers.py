@@ -33,9 +33,9 @@ from conftest import ORACLE_OPERATORS, dense_forward, synthetic_image
 
 
 def identity_denoiser(n: int, mode: str = "dsg") -> KernelDenoiser:
-    eye = sparse.identity(n, format="csr")
+    eye = sparse.identity(n, format="dia")
     return KernelDenoiser(
-        kernel=eye, degrees=np.ones(n), weights=eye, mode=mode, norm_scale=1.0
+        kernel=eye, degrees=np.ones(n), bands=eye, mode=mode, norm_scale=1.0
     )
 
 
@@ -325,8 +325,8 @@ class TestScaledPnpFista:
         )
         # synthetic nlm-mode denoiser with the same weights and unit degrees
         den_unit = KernelDenoiser(
-            kernel=den_dsg.weights, degrees=np.ones(op.n),
-            weights=den_dsg.weights, mode="nlm",
+            kernel=den_dsg.bands, degrees=np.ones(op.n),
+            bands=den_dsg.bands, mode="nlm",
         )
         config = SolverConfig(gamma=0.7, max_iter=60, stop_tol=0.0)
         sched = MomentumSchedule("beck")

@@ -316,8 +316,8 @@ class TestCheckAssumption:
 
     def test_identity_denoiser_with_partial_mask_fails(self):
         op = make_inpaint(8, 8, 0.3, Rng(11))
-        eye = sparse.identity(op.n, format="csr")
-        den = KernelDenoiser(kernel=eye, degrees=np.ones(op.n), weights=eye, mode="dsg")
+        eye = sparse.identity(op.n, format="dia")
+        den = KernelDenoiser(kernel=eye, degrees=np.ones(op.n), bands=eye, mode="dsg")
         checks = check_assumption(den, op)
         # every vector is fixed: the eigenvalue 1 is not simple
         assert not checks.fix_ok
