@@ -34,7 +34,6 @@ from .kernel_denoise import (
 )
 from .solvers import (
     MomentumSchedule,
-    SolverConfig,
     SolverTrace,
     parse_schedule,
     pnp_fista,
@@ -47,7 +46,6 @@ from .spectral import (
     SpectralReport,
     accelerated_radius,
     check_assumption,
-    fixed_point,
     pnp_operator,
     red_operator,
     scaled_operator,
@@ -60,9 +58,9 @@ __all__ = [
     "make_blur", "make_inpaint", "make_superres", "observe",
     "KernelDenoiser", "KernelParams", "apply_w", "build_denoiser",
     "build_dsg", "build_kernel", "build_nlm", "make_guide",
-    "MomentumSchedule", "SolverConfig", "SolverTrace", "parse_schedule",
+    "MomentumSchedule", "SolverTrace", "parse_schedule",
     "pnp_fista", "prox_quadratic", "red_apg", "scaled_pnp_fista",
     "IterationOperator", "SpectralReport", "accelerated_radius",
-    "check_assumption", "fixed_point", "pnp_operator",
+    "check_assumption", "pnp_operator",
     "red_operator", "scaled_operator", "spectral_radius",
 ]

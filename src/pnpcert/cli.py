@@ -2,15 +2,16 @@
 runs, certification sweeps, schedule comparisons, and one-shot denoising.
 
 Config files are flat ``key = value`` text, one pair per line, with ``#``
-comments. Unknown keys are rejected. The ``gamma`` key is a fraction of the
-certified step-size bound: the solver uses gamma / lambda_hat where
-lambda_hat is the largest Gram eigenvalue, exact from the operator's
-structure (an ARPACK estimate for the degree-rescaled Gram map of the
-scaled algorithm). ``iteration_operator`` turns a grid value into the
-iteration map: ``run`` and ``schedules`` iterate the map ``certify``
-certifies at grid value ``gamma`` (1/L for red_apg). The ``cg_tol`` and
-``cg_max_iter`` keys are accepted and have no effect: the quadratic prox is
-solved exactly.
+comments that start a line or follow whitespace. Unknown keys are rejected.
+The ``gamma`` key is a fraction of the certified step-size bound: the solver
+uses gamma / lambda_hat where lambda_hat is the largest Gram eigenvalue,
+exact from the operator's structure (an ARPACK estimate for the
+degree-rescaled Gram map of the scaled algorithm). ``iteration_operator`` is
+the one builder of the iteration map from a grid value: ``certify``
+certifies its maps, and ``run`` and ``schedules`` hand the solver its map at
+grid value ``gamma`` (1/L for red_apg), so they iterate the map ``certify``
+certifies. The ``cg_tol`` and ``cg_max_iter`` keys are accepted and have no
+effect: the quadratic prox is solved exactly.
 
 Exit codes: 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
 """
@@ -81,6 +82,12 @@ class ExperimentConfig:
              f"algorithm: {self.algorithm!r}"),
             (self.gamma > 0, "gamma must be positive"),
             (self.lam > 0, "lambda must be positive"),
+            (self.L >= 1, "L must be >= 1"),
+            (self.max_iter >= 1, "max_iter must be >= 1"),
+            (self.stop_tol >= 0, "stop_tol must be nonnegative"),
+            (self.guide_warmup_iters >= 0, "guide_warmup_iters must be nonnegative"),
+            (self.guide_warmup_iters == 0 or self.algorithm == "pnp_fista",
+             "guide_warmup_iters is only supported with pnp_fista"),
             (self.init in ("zeros", "backprojection", "random"), f"init: {self.init!r}"),
         ]
         for ok, message in checks:
@@ -89,7 +96,6 @@ class ExperimentConfig:
         try:
             solvers.parse_schedule(self.schedule)
             _kernel_params(self)
-            _solver_config(self, None)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -111,7 +117,7 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()  # a value may contain '#'
         if not line:
             continue
         if "=" not in line:
@@ -148,20 +154,6 @@ def _center_crop(img: Image, side: int) -> Image:
 def _kernel_params(cfg: ExperimentConfig) -> kernel_denoise.KernelParams:
     return kernel_denoise.KernelParams(
         cfg.patch_radius, cfg.window_radius, cfg.bandwidth, cfg.window_shape
-    )
-
-
-def _solver_config(
-    cfg: ExperimentConfig,
-    gamma_abs: float | None,
-    max_iter: int | None = None,
-    stop_tol: float | None = None,
-) -> solvers.SolverConfig:
-    return solvers.SolverConfig(
-        gamma=gamma_abs, lam=cfg.lam, L=cfg.L,
-        max_iter=cfg.max_iter if max_iter is None else max_iter,
-        stop_tol=cfg.stop_tol if stop_tol is None else stop_tol,
-        guide_warmup_iters=cfg.guide_warmup_iters,
     )
 
 
@@ -223,23 +215,31 @@ def run_solver(
     max_iter: int | None = None,
     stop_tol: float | None = None,
 ) -> solvers.SolverTrace:
-    """Run the configured solver from x0.
+    """Run the configured solver from x0 on the map ``iteration_operator``
+    builds at grid value gamma (pnp kinds) or 1/L (red): the map ``certify``
+    certifies at that grid value.
 
-    It iterates the map ``iteration_operator`` certifies at grid value gamma
-    (pnp kinds) or 1/L (red): the step is ``prob.step_size(gamma)``, and
-    ``SolverConfig`` derives theta = 1/L and mu = theta / lambda.
+    With guide warm-up (pnp_fista only), each of the first
+    ``guide_warmup_iters`` iterations rebuilds the denoiser from the iterate
+    and hands the solver ``iteration_operator`` on it.
     """
     cfg = prob.cfg
-    config = _solver_config(cfg, prob.step_size(cfg.gamma), max_iter, stop_tol)
-    kwargs = dict(truth=prob.truth.data, x_ref=x_ref)
+    kwargs = dict(
+        max_iter=cfg.max_iter if max_iter is None else max_iter,
+        stop_tol=cfg.stop_tol if stop_tol is None else stop_tol,
+        truth=prob.truth.data, x_ref=x_ref,
+    )
     if cfg.guide_warmup_iters > 0:
-        if cfg.algorithm != "pnp_fista":
-            raise ConfigError("guide_warmup_iters is only supported with pnp_fista")
-        kwargs["denoiser_factory"] = lambda g: kernel_denoise.build_denoiser(
-            Image(g, prob.truth.rows, prob.truth.cols), _kernel_params(cfg), prob.denoiser.mode
-        )
+        def rebuild(x):
+            guide = Image(x, prob.truth.rows, prob.truth.cols)
+            denoiser = kernel_denoise.build_denoiser(
+                guide, _kernel_params(cfg), prob.denoiser.mode
+            )
+            return iteration_operator(replace(prob, denoiser=denoiser), cfg.gamma)
+        kwargs.update(rebuild=rebuild, warmup_iters=cfg.guide_warmup_iters)
+    grid_value = 1 / cfg.L if cfg.algorithm == "red_apg" else cfg.gamma
     solver = getattr(solvers, cfg.algorithm)  # pnp_fista | red_apg | scaled_pnp_fista
-    return solver(prob.op, prob.observed, prob.denoiser, config, schedule, x0, **kwargs)
+    return solver(iteration_operator(prob, grid_value), prob.observed, schedule, x0, **kwargs)
 
 
 def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOperator:
@@ -373,6 +373,9 @@ def _grid_label(value: float) -> str:
 
 def cmd_certify(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
+    if cfg.guide_warmup_iters > 0:
+        raise ConfigError("guide_warmup_iters > 0: run iterates maps rebuilt from its "
+                          "iterates, not one frozen map that certify could analyse")
     grid = _parse_grid(args.grid)
     prob = build_problem(cfg)
     out = Path(cfg.out)

@@ -10,9 +10,11 @@ Three schemes, all with a pluggable momentum sequence {alpha_k}:
                           geometry in which plain NLM weights are self-adjoint.
 
 With the denoiser frozen, each scheme's update is the affine map
-x -> P x + q of its ``spectral.IterationOperator``, the same object the
-certifier analyses. One momentum loop, ``_accelerate``, iterates that map for
-all three schemes; the public solvers only build the map and the start.
+x -> P x + q of a ``spectral.IterationOperator``. The solvers take that map,
+the measurements, the schedule and the start, and do not build the map
+themselves: ``cli.iteration_operator`` builds it, for ``run`` and for
+``certify`` alike, so the map that runs is the map that is certified. One
+momentum loop, ``_accelerate``, iterates the map for all three schemes.
 
 The data-fidelity proximal map solves (I + mu A^T A) x = v + mu A^T b in
 closed form with ``fwdops.solve_shifted_gram`` (a diagonal, Fourier or
@@ -29,8 +31,7 @@ import numpy as np
 
 from .fwdops import ForwardOp, solve_shifted_gram
 from .imgcore import psnr_vec
-from .kernel_denoise import KernelDenoiser
-from .spectral import IterationOperator, pnp_operator, red_operator, scaled_operator
+from .spectral import IterationOperator
 
 
 class DivergenceError(RuntimeError):
@@ -104,38 +105,6 @@ def parse_schedule(spec: str) -> MomentumSchedule:
     if arg is not None:
         raise ValueError(f"schedule {name!r} takes no argument")
     return MomentumSchedule(name)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    gamma: float | None = None   # step size (pnp paths), absolute
-    lam: float = 1.0             # regularization weight (red)
-    L: float = 2.0               # red internal parameter, >= 1
-    max_iter: int = 20000
-    stop_tol: float = 1e-9       # on ||x_k - x_{k-1}|| / ||x_k||
-    guide_warmup_iters: int = 0
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
-        if self.guide_warmup_iters < 0:
-            raise ValueError("guide_warmup_iters must be nonnegative")
-
-    @property
-    def theta(self) -> float:
-        return 1.0 / self.L
-
-    @property
-    def mu(self) -> float:
-        """The red prox weight 1 / (lam L), written as the certifier writes it
-        for its grid value theta = 1/L, so that the two maps agree bitwise."""
-        return self.theta / self.lam
 
 
 @dataclass
@@ -231,13 +200,15 @@ def _start(it: IterationOperator, x0: np.ndarray) -> np.ndarray:
 def _accelerate(
     it: IterationOperator,
     data: np.ndarray,
-    config: SolverConfig,
     schedule: MomentumSchedule,
     x0: np.ndarray,
+    max_iter: int,
+    stop_tol: float,
     truth: np.ndarray | None,
     x_ref: np.ndarray | None,
     x1: np.ndarray | None = None,
     rebuild=None,
+    warmup_iters: int = 0,
 ) -> SolverTrace:
     """The momentum loop of all three solvers:
 
@@ -246,28 +217,27 @@ def _accelerate(
     with x -> P x + q given by ``it.step(x, data)``. The first iterate is
     x_1 = P x_0 + q, or ``x1`` when given, in which case x_0 := x1 and the
     zero first step does not count as convergence. ``rebuild(x)`` returns
-    the map for the next iteration during the first
-    ``config.guide_warmup_iters`` iterations. The loop stops when
-    ||x_k - x_{k-1}|| <= stop_tol ||x_k|| or after ``config.max_iter``
-    iterations, and raises DivergenceError on a non-finite iterate or one
-    whose norm exceeds 1e8 (1 + ||x_0||).
+    the map for the next iteration during the first ``warmup_iters``
+    iterations. The loop stops when ||x_k - x_{k-1}|| <= stop_tol ||x_k||
+    or after ``max_iter`` iterations, and raises DivergenceError on a
+    non-finite iterate or one whose norm exceeds 1e8 (1 + ||x_0||).
     """
-    if config.guide_warmup_iters > 0 and rebuild is None:
-        raise ValueError("guide warm-up requires pnp_fista with a denoiser_factory")
+    if warmup_iters > 0 and rebuild is None:
+        raise ValueError("guide warm-up requires a rebuild of the map")
     guard = 1e8 * (1.0 + np.linalg.norm(x0))
     tracer = _TraceBuilder(truth, x_ref)
     x_prev = y = x0 if x1 is None else x1
     converged = False
-    for k in range(1, config.max_iter + 1):
+    for k in range(1, max_iter + 1):
         given = k == 1 and x1 is not None
         x = x1 if given else it.step(y, data)
         _guard_iterate(x, k, guard)
         a = schedule.alpha(k)
         tracer.record(k, a, x, x_prev)
-        converged = not given and bool(tracer.step[-1] <= config.stop_tol * np.linalg.norm(x))
+        converged = not given and bool(tracer.step[-1] <= stop_tol * np.linalg.norm(x))
         y = x + a * (x - x_prev)
         x_prev = x
-        if k <= config.guide_warmup_iters:
+        if k <= warmup_iters:
             it = rebuild(x)
         if converged:
             break
@@ -275,81 +245,63 @@ def _accelerate(
 
 
 def pnp_fista(
-    op: ForwardOp,
+    it: IterationOperator,
     b: np.ndarray,
-    denoiser: KernelDenoiser,
-    config: SolverConfig,
     schedule: MomentumSchedule,
     x0: np.ndarray,
+    max_iter: int = 20000,
+    stop_tol: float = 1e-9,
     truth: np.ndarray | None = None,
     x_ref: np.ndarray | None = None,
-    denoiser_factory=None,
+    rebuild=None,
+    warmup_iters: int = 0,
 ) -> SolverTrace:
-    """Denoiser-in-the-gradient-step iteration with momentum.
+    """Denoiser-in-the-gradient-step iteration with momentum, on a pnp or
+    scaled_pnp map ``it``:
 
     y_1 = x_0; for k >= 1:
-        x_k = W (y_k - gamma * A^T (A y_k - b))
+        x_k = W (y_k - gamma * A^T (A y_k - b))      (pnp)
+        x_k = W (y_k - gamma * D^-1 A^T (A y_k - b)) (scaled_pnp)
         y_{k+1} = x_k + alpha_k (x_k - x_{k-1})
 
-    ``denoiser_factory``, together with ``config.guide_warmup_iters > 0``,
-    rebuilds W from the current iterate during warm-up; afterwards W is
+    ``rebuild(x)``, together with ``warmup_iters > 0``, returns the map on a
+    denoiser rebuilt from the iterate during warm-up; afterwards the map is
     frozen so the remaining iterations follow a fixed affine map.
     """
-    it = pnp_operator(op, denoiser, config.gamma)
-    rebuild = None
-    if denoiser_factory is not None:
-        rebuild = lambda x: pnp_operator(op, denoiser_factory(x), config.gamma)
-    return _accelerate(it, it.data_term(b), config, schedule, _start(it, x0), truth, x_ref,
-                       rebuild=rebuild)
+    if it.kind == "red":
+        raise ValueError("red maps are iterated by red_apg")
+    return _accelerate(it, it.data_term(b), schedule, _start(it, x0), max_iter, stop_tol,
+                       truth, x_ref, rebuild=rebuild, warmup_iters=warmup_iters)
+
+
+# the map carries the degree scaling, so the loop is pnp_fista's
+scaled_pnp_fista = pnp_fista
 
 
 def red_apg(
-    op: ForwardOp,
+    it: IterationOperator,
     b: np.ndarray,
-    denoiser: KernelDenoiser,
-    config: SolverConfig,
     schedule: MomentumSchedule,
     v0: np.ndarray,
+    max_iter: int = 20000,
+    stop_tol: float = 1e-9,
     truth: np.ndarray | None = None,
     x_ref: np.ndarray | None = None,
 ) -> SolverTrace:
-    """Proximal-then-blend iteration with momentum.
+    """Proximal-then-blend iteration with momentum, on a red map ``it``:
 
     for k >= 1:
-        x_k = argmin_x  mu/2 ||A x - b||^2 + 1/2 ||x - v_{k-1}||^2,  mu = theta / lam
+        x_k = argmin_x  mu/2 ||A x - b||^2 + 1/2 ||x - v_{k-1}||^2
         y_k = x_k + alpha_k (x_k - x_{k-1})
-        v_k = theta W y_k + (1 - theta) y_k,                          theta = 1/L
+        v_k = theta W y_k + (1 - theta) y_k
 
     The first momentum term needs x_0; we set x_0 := x_1 (zero first momentum),
     which coincides with the beck schedule's alpha_1 = 0 behavior and keeps the
     update well-defined for schedules with alpha_1 != 0.
     """
-    it = red_operator(op, denoiser, config.mu, config.theta)
+    if it.kind != "red":
+        raise ValueError("red_apg iterates a red map")
     data = it.data_term(b)
     v0 = _start(it, v0)
-    x1 = solve_shifted_gram(op, it.mu, v0 + data)
-    return _accelerate(it, data, config, schedule, v0, truth, x_ref, x1=x1)
-
-
-def scaled_pnp_fista(
-    op: ForwardOp,
-    b: np.ndarray,
-    denoiser: KernelDenoiser,
-    config: SolverConfig,
-    schedule: MomentumSchedule,
-    x0: np.ndarray,
-    truth: np.ndarray | None = None,
-    x_ref: np.ndarray | None = None,
-) -> SolverTrace:
-    """pnp_fista with the gradient taken in the degree-weighted inner product:
-
-        x_k = W (y_k - gamma * D^-1 A^T (A y_k - b))
-
-    Requires nlm-mode weights (they carry the degree diagonal D and are
-    self-adjoint in the D-weighted geometry). The step size should satisfy
-    gamma < 1 / lambda_max(D^-1/2 A^T A D^-1/2); the unscaled bound
-    1 / lambda_max(A^T A) is a valid, D-free fallback since all degrees
-    are >= 1.
-    """
-    it = scaled_operator(op, denoiser, config.gamma)
-    return _accelerate(it, it.data_term(b), config, schedule, _start(it, x0), truth, x_ref)
+    x1 = solve_shifted_gram(it.op, it.mu, v0 + data)
+    return _accelerate(it, data, schedule, v0, max_iter, stop_tol, truth, x_ref, x1=x1)

@@ -122,6 +122,11 @@ def red_operator(
 
 
 def scaled_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
+    """Requires nlm-mode weights: they carry the degree diagonal D and are
+    self-adjoint in the D-weighted geometry. The step size should satisfy
+    gamma < 1 / lambda_max(D^-1/2 A^T A D^-1/2); the unscaled bound
+    1 / lambda_max(A^T A) is a valid, D-free fallback since all degrees
+    are >= 1."""
     _check_pair(op, denoiser)
     if gamma is None or gamma < 0:
         raise ValueError("gamma must be a nonnegative step size")
@@ -151,30 +156,6 @@ def accelerated_radius(mu: float | complex) -> float:
         return float(np.sqrt(mu))
     s = np.sqrt(complex(mu) ** 2 - mu)
     return float(max(abs(mu + s), abs(mu - s)))
-
-
-def fixed_point(
-    iter_op: IterationOperator,
-    q: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-) -> np.ndarray:
-    """Solve (I - P) x = q by Richardson iteration x <- P x + q.
-
-    Converges when rho(P) < 1; run the certifier first. Stops when the
-    update step satisfies ||x - (P x + q)|| <= tol * ||q||.
-    """
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        return np.zeros(iter_op.n)
-    x = q.copy()
-    for _ in range(max_iter):
-        x_new = iter_op.apply(x) + q
-        if np.linalg.norm(x_new - x) <= tol * qn:
-            return x_new
-        x = x_new
-    raise RuntimeError(f"fixed-point iteration did not reach tol={tol} in {max_iter} steps")
 
 
 @dataclass

@@ -64,6 +64,26 @@ def dense_oracle(apply_fn, n: int, cap: int = DENSE_CAP) -> tuple[np.ndarray, np
     return mat, np.linalg.eigvals(mat)
 
 
+def fixed_point(iter_op, q: np.ndarray, tol: float = 1e-12,
+                max_iter: int = 1_000_000) -> np.ndarray:
+    """Solve (I - P) x = q by Richardson iteration x <- P x + q.
+
+    Converges when rho(P) < 1; run the certifier first. Stops when the
+    update step satisfies ||x - (P x + q)|| <= tol * ||q||.
+    """
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    qn = np.linalg.norm(q)
+    if qn == 0.0:
+        return np.zeros(iter_op.n)
+    x = q.copy()
+    for _ in range(max_iter):
+        x_new = iter_op.apply(x) + q
+        if np.linalg.norm(x_new - x) <= tol * qn:
+            return x_new
+        x = x_new
+    raise RuntimeError(f"fixed-point iteration did not reach tol={tol} in {max_iter} steps")
+
+
 def momentum_companion(p_dense: np.ndarray) -> np.ndarray:
     """Dense 2n x 2n companion matrix [[2P, -P], [I, 0]] of the limit update."""
     n = p_dense.shape[0]
@@ -132,9 +152,15 @@ def reference_row_sums(K: sparse.csr_matrix, band_order: bool = False) -> np.nda
 
 def reference_nlm(K: sparse.csr_matrix, band_order: bool = False,
                   ) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """(W, D) of the nlm weights by broadcasting ``multiply``."""
+    """(W, D) of the nlm weights by broadcasting ``multiply``.
+
+    A subnormal K_ij divided by D_i > 1 can underflow to 0; ``multiply``
+    stores such a 0, and W is returned without stored zeros, as
+    ``KernelDenoiser.weights`` is.
+    """
     deg = reference_row_sums(K, band_order)
     W = sparse.csr_matrix(K.multiply(1.0 / deg[:, None]))
+    W.eliminate_zeros()
     W.sort_indices()
     return W, deg
 

@@ -19,13 +19,11 @@ from pnpcert import (
     KernelParams,
     MomentumSchedule,
     Rng,
-    SolverConfig,
     accelerated_radius,
     build_denoiser,
     build_dsg,
     build_kernel,
     build_nlm,
-    fixed_point,
     gaussian_kernel,
     gaussian_noise,
     lambda_max_gram,
@@ -48,7 +46,8 @@ from pnpcert.cli import main
 from pnpcert.imgcore import psnr_vec
 
 from conftest import (
-    dense_oracle, materialize, momentum_companion, reference_symmetric, synthetic_image,
+    dense_oracle, fixed_point, materialize, momentum_companion, reference_symmetric,
+    synthetic_image,
 )
 from test_kernel_denoise import brute_force_kernel
 
@@ -150,11 +149,12 @@ def test_criterion_3():
     assert abs(np.abs(eig_r).max() - math.sqrt(np.max(np.real(eig_p)))) <= 1e-7
 
 
-def _convergence_battery(op, b, den, solver, config, it, label):
-    n = op.n
-    inits = [np.zeros(n), op.adjoint(b), Rng(404).uniforms(n)]
+def _convergence_battery(b, solver, it, label):
+    n = it.n
+    run = functools.partial(solver, it, b, max_iter=20000, stop_tol=1e-9)
+    inits = [np.zeros(n), it.op.adjoint(b), Rng(404).uniforms(n)]
     sched = MomentumSchedule("beck")
-    finals = [solver(op, b, den, config, sched, x0).final for x0 in inits]
+    finals = [run(sched, x0).final for x0 in inits]
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
             rel = np.linalg.norm(finals[i] - finals[j]) / np.linalg.norm(finals[i])
@@ -167,7 +167,7 @@ def _convergence_battery(op, b, den, solver, config, it, label):
     rho = spectral_radius(it, tol=1e-12)
     assert rho.converged and rho.value < 1.0
     rate = accelerated_radius(rho.value)
-    trace = solver(op, b, den, config, MomentumSchedule("beck"), np.zeros(n), x_ref=x_star)
+    trace = run(MomentumSchedule("beck"), np.zeros(n), x_ref=x_star)
     tail = slice(3 * trace.iterations // 4, trace.iterations)
     slope = np.polyfit(trace.k[tail], np.log(trace.dist_to_ref[tail]), 1)[0]
     assert slope <= math.log(rate) + 0.02, f"{label}: slope {slope:.4f} vs rate {rate:.6f}"
@@ -177,13 +177,9 @@ def _convergence_battery(op, b, den, solver, config, it, label):
 def test_criterion_4(inpaint32):
     truth, op, b, den = inpaint32
     gamma = 0.9 / lambda_max_gram(op).value
-    config = SolverConfig(gamma=gamma, max_iter=20000, stop_tol=1e-9)
-    _convergence_battery(op, b, den, pnp_fista, config,
-                         pnp_operator(op, den, gamma), "pnp")
-    config_red = SolverConfig(lam=1.0, L=2.0, max_iter=20000, stop_tol=1e-9)
-    _convergence_battery(op, b, den, red_apg, config_red,
-                         red_operator(op, den, config_red.mu, config_red.theta),
-                         "red")
+    _convergence_battery(b, pnp_fista, pnp_operator(op, den, gamma), "pnp")
+    # lambda = 1, L = 2: theta = 1/L, mu = theta / lambda
+    _convergence_battery(b, red_apg, red_operator(op, den, mu=0.5, theta=0.5), "red")
 
 
 @criterion(5, "scaled iteration with plain nlm weights")
@@ -193,11 +189,11 @@ def test_criterion_5():
     b = observe(op, truth, 0.03, Rng(501))
     den = build_denoiser(make_guide("deblur", b, op), HAT, "nlm")
     lam_d = lambda_max_gram(op, diag=den.degrees).value
-    gamma = 0.9 / lam_d
-    config = SolverConfig(gamma=gamma, max_iter=20000, stop_tol=1e-9)
+    it = scaled_operator(op, den, 0.9 / lam_d)
     sched = MomentumSchedule("beck")
-    a = scaled_pnp_fista(op, b, den, config, sched, np.zeros(op.n))
-    c = scaled_pnp_fista(op, b, den, config, sched, Rng(502).uniforms(op.n))
+    a = scaled_pnp_fista(it, b, sched, np.zeros(op.n), max_iter=20000, stop_tol=1e-9)
+    c = scaled_pnp_fista(it, b, sched, Rng(502).uniforms(op.n), max_iter=20000,
+                         stop_tol=1e-9)
     rel = np.linalg.norm(a.final - c.final) / np.linalg.norm(a.final)
     assert rel <= 1e-6
 
@@ -330,10 +326,11 @@ def test_criterion_9():
     den = build_denoiser(make_guide("deblur", b, op), HAT, "dsg")
     gamma = 0.9 / lambda_max_gram(op).value
 
-    cfg = SolverConfig(gamma=gamma, max_iter=300, stop_tol=1e-9)
-    pnp = pnp_fista(op, b, den, cfg, MomentumSchedule("beck"), np.zeros(op.n))
+    pnp = pnp_fista(pnp_operator(op, den, gamma), b, MomentumSchedule("beck"),
+                    np.zeros(op.n), max_iter=300, stop_tol=1e-9)
     assert psnr_vec(pnp.final, truth.data) > psnr_observed
 
-    cfg_red = SolverConfig(lam=1.0, L=2.0, max_iter=150, stop_tol=1e-9)
-    red = red_apg(op, b, den, cfg_red, MomentumSchedule("beck"), np.zeros(op.n))
+    # lambda = 1, L = 2: theta = 1/L, mu = theta / lambda
+    red = red_apg(red_operator(op, den, mu=0.5, theta=0.5), b, MomentumSchedule("beck"),
+                  np.zeros(op.n), max_iter=150, stop_tol=1e-9)
     assert psnr_vec(red.final, truth.data) > psnr_observed

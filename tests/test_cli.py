@@ -100,9 +100,11 @@ class TestParseConfig:
 
     def test_range_validation(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("mask_fraction = 1.5\n")
-        with pytest.raises(ConfigError, match="mask_fraction"):
-            parse_config(path)
+        for key, value in [("mask_fraction", 1.5), ("L", 0.5), ("max_iter", 0),
+                           ("stop_tol", -1), ("guide_warmup_iters", -1)]:
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"^{key} must"):
+                parse_config(path)
 
     @pytest.mark.parametrize("line", ["gamma = inf", "gamma = nan", "stop_tol = -inf"])
     def test_non_finite_float_rejected(self, tmp_path, line):
@@ -117,9 +119,14 @@ class TestParseConfig:
         assert parse_config(path).lam == 2.5
 
     def test_comments_and_blanks(self, tmp_path):
+        # a comment starts a line or follows whitespace; a '#' inside a value stays
         path = tmp_path / "ok.cfg"
-        path.write_text("\n# full line\nseed = 7  # trailing\n\n")
-        assert parse_config(path).seed == 7
+        path.write_text("\n# full line\n  # indented\nseed = 7  # trailing\n"
+                        "image = /data/a#b/img.pgm\nout = run#1\t# note\n\n")
+        cfg = parse_config(path)
+        assert cfg.seed == 7
+        assert cfg.image == "/data/a#b/img.pgm"
+        assert cfg.out == "run#1"
 
     @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
     def test_every_key_parses_to_its_field_type(self, tmp_path, field):
@@ -247,6 +254,38 @@ class TestRun:
         b = np.load(out_b / "recon.npy")
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-6
 
+    def test_guide_warmup_rebuilds_the_iterated_map(self, tmp_path, monkeypatch):
+        from pnpcert import kernel_denoise
+
+        built, stepped = [], []
+        build, step = kernel_denoise.build_denoiser, spectral.IterationOperator.step
+        monkeypatch.setattr(kernel_denoise, "build_denoiser",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        monkeypatch.setattr(spectral.IterationOperator, "step",
+                            lambda it, x, data: stepped.append(it.denoiser) or step(it, x, data))
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", guide_warmup_iters=3)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        iterations = int(read_kv(tmp_path / "out" / "summary.txt")["iterations"])
+        # the guide's denoiser, then one rebuilt after each warm-up iteration;
+        # iteration k + 1 steps with the map on the k-th rebuilt denoiser
+        assert len(built) == 1 + 3
+        expected = built[:3] + [built[3]] * (iterations - 3)
+        assert len(stepped) == iterations > 3
+        assert all(a is b for a, b in zip(stepped, expected))
+
+    @pytest.mark.parametrize("algorithm, denoiser", [("red_apg", "dsg"),
+                                                     ("scaled_pnp_fista", "nlm")])
+    def test_warmup_needs_pnp_fista(self, tmp_path, capsys, algorithm, denoiser):
+        # rejected when the config is read, before certify could accept it
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, algorithm=algorithm, denoiser=denoiser,
+                                guide_warmup_iters=3)
+        for argv in (["run"], ["certify", "--grid", "0.5"]):
+            assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
+            assert "only supported with pnp_fista" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_certified_row_implies_convergent_run(self, tmp_path):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint", gamma=0.75,
@@ -347,6 +386,14 @@ class TestCertify:
         (report,) = (tmp_path / "out" / "reports").glob("*.txt")
         high = float(read_kv(report)["gamma_interval_high"])
         assert high == pytest.approx(1.0 / superres_lambda_max(16, 5, 1.0, 2), rel=1e-12)
+
+    def test_guide_warmup_rejected(self, tmp_path, capsys):
+        # run rebuilds the map during warm-up, so no frozen map is the one that runs
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, guide_warmup_iters=3)
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_CONFIG
+        assert "guide_warmup_iters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_grid_rejected(self, tmp_path):
         write_truth(tmp_path)

@@ -208,6 +208,8 @@ class TestCsrAssembly:
              bandwidth=0.005, seed=3, levels=0)  # underflow, window wider than the image
     @example(shape=(9, 13), patch_radius=1, window_radius=14, window_shape="hat",
              bandwidth=0.05, seed=34, levels=4)  # integral-image distances go negative here
+    @example(shape=(9, 13), patch_radius=0, window_radius=4, window_shape="box",
+             bandwidth=0.015625, seed=0, levels=0)  # subnormal K_ij / D_i underflows to 0
     def test_matches_reference(self, shape, patch_radius, window_radius, window_shape,
                                bandwidth, seed, levels):
         guide = random_guide(*shape, seed, levels)

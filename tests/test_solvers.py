@@ -11,7 +11,6 @@ from pnpcert import (
     Image,
     MomentumSchedule,
     Rng,
-    SolverConfig,
     build_denoiser,
     gaussian_kernel,
     gaussian_noise,
@@ -27,9 +26,9 @@ from pnpcert import (
 )
 from pnpcert.kernel_denoise import KernelDenoiser
 from pnpcert.solvers import DivergenceError, solve_shifted_gram
-from pnpcert.spectral import fixed_point, pnp_operator, red_operator, scaled_operator
+from pnpcert.spectral import pnp_operator, red_operator, scaled_operator
 
-from conftest import ORACLE_OPERATORS, dense_forward, synthetic_image
+from conftest import ORACLE_OPERATORS, dense_forward, fixed_point, synthetic_image
 
 
 def identity_denoiser(n: int, mode: str = "dsg") -> KernelDenoiser:
@@ -178,10 +177,9 @@ class TestPnpFista:
         truth = synthetic_image(8, 8)
         op = make_inpaint(8, 8, 0.4, Rng(30))
         b = observe(op, truth, 0.0, Rng(31))
-        den = identity_denoiser(op.n)
-        config = SolverConfig(gamma=0.9, max_iter=500, stop_tol=1e-13)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("constant", c=0.0),
-                          np.zeros(op.n))
+        it = pnp_operator(op, identity_denoiser(op.n), 0.9)
+        trace = pnp_fista(it, b, MomentumSchedule("constant", c=0.0), np.zeros(op.n),
+                          max_iter=500, stop_tol=1e-13)
         assert np.abs(trace.final[op.mask] - b).max() <= 1e-8
         assert np.abs(trace.final[~op.mask]).max() == 0.0
 
@@ -190,8 +188,7 @@ class TestPnpFista:
         gamma = 0.9 / lambda_max_gram(op).value
         it = pnp_operator(op, den, gamma)
         x_star = fixed_point(it, it.offset(b), tol=1e-14)
-        config = SolverConfig(gamma=gamma, max_iter=5)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("beck"), x_star)
+        trace = pnp_fista(it, b, MomentumSchedule("beck"), x_star, max_iter=5)
         first_step = it.apply(x_star) + it.offset(b)
         assert np.linalg.norm(first_step - x_star) <= 1e-10 * (1 + np.linalg.norm(x_star))
         assert np.linalg.norm(trace.final - x_star) <= 1e-9
@@ -206,43 +203,47 @@ class TestPnpFista:
         assert rho.converged and rho.value < 1
         rate = accelerated_radius(rho.value)
         x_star = fixed_point(it, it.offset(b), tol=1e-14)
-        config = SolverConfig(gamma=gamma, max_iter=20000, stop_tol=1e-9)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("beck"),
-                          np.zeros(op.n), x_ref=x_star)
+        trace = pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n),
+                          max_iter=20000, stop_tol=1e-9, x_ref=x_star)
         tail = slice(3 * trace.iterations // 4, trace.iterations)
         slope = np.polyfit(trace.k[tail], np.log(trace.dist_to_ref[tail]), 1)[0]
         assert slope <= math.log(rate) + 0.02
 
     def test_non_accelerated_converges(self):
         _, op, b, den = inpaint_problem()
-        gamma = 0.9 / lambda_max_gram(op).value
-        config = SolverConfig(gamma=gamma, max_iter=20000, stop_tol=1e-10)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("constant", c=0.0),
-                          np.zeros(op.n))
+        it = pnp_operator(op, den, 0.9 / lambda_max_gram(op).value)
+        trace = pnp_fista(it, b, MomentumSchedule("constant", c=0.0), np.zeros(op.n),
+                          max_iter=20000, stop_tol=1e-10)
         assert trace.converged
 
     def test_divergence_guard(self):
         _, op, b, den = inpaint_problem()
-        config = SolverConfig(gamma=2000.0, max_iter=2000)
+        it = pnp_operator(op, den, 2000.0)
         with pytest.raises(DivergenceError) as err:
-            pnp_fista(op, b, den, config, MomentumSchedule("beck"), np.zeros(op.n))
+            pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n), max_iter=2000)
         assert err.value.iteration >= 1
 
     def test_gamma_required(self):
-        _, op, b, den = inpaint_problem()
+        # the map pnp_fista iterates cannot be built without a step size
+        _, op, _, den = inpaint_problem()
         with pytest.raises(ValueError):
-            pnp_fista(op, b, den, SolverConfig(), MomentumSchedule("beck"),
-                      np.zeros(op.n))
+            pnp_operator(op, den, None)
+
+    def test_red_map_rejected(self):
+        _, op, b, den = inpaint_problem()
+        it = red_operator(op, den, 0.5, 0.5)
+        with pytest.raises(ValueError, match="red_apg"):
+            pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n))
 
     def test_fixed_point_consistency_after_stop(self):
         _, op, b, den = inpaint_problem()
-        gamma = 0.9 / lambda_max_gram(op).value
-        config = SolverConfig(gamma=gamma, max_iter=20000, stop_tol=1e-9)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("beck"), np.zeros(op.n))
+        it = pnp_operator(op, den, 0.9 / lambda_max_gram(op).value)
+        stop_tol = 1e-9
+        trace = pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n),
+                          max_iter=20000, stop_tol=stop_tol)
         assert trace.converged
-        it = pnp_operator(op, den, gamma)
         step = it.apply(trace.final) + it.offset(b)
-        assert np.linalg.norm(trace.final - step) <= 10 * config.stop_tol * np.linalg.norm(
+        assert np.linalg.norm(trace.final - step) <= 10 * stop_tol * np.linalg.norm(
             trace.final
         )
 
@@ -253,39 +254,42 @@ class TestPnpFista:
 
         guide = make_guide("inpaint", b, op)
         den = build_denoiser(guide, params, "dsg")
-        factory = lambda g: build_denoiser(Image(g, 16, 16), params, "dsg")
-        config = SolverConfig(gamma=0.5, max_iter=50, guide_warmup_iters=3)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("beck"),
-                          np.zeros(op.n), denoiser_factory=factory)
+        rebuild = lambda x: pnp_operator(op, build_denoiser(Image(x, 16, 16), params, "dsg"),
+                                         0.5)
+        trace = pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+                          np.zeros(op.n), max_iter=50, rebuild=rebuild, warmup_iters=3)
         assert np.all(np.isfinite(trace.final))
 
     def test_warmup_without_factory_rejected(self):
+        # warm-up iterations need a ``rebuild`` that returns the next map
         _, op, b, den = inpaint_problem()
-        config = SolverConfig(gamma=0.5, guide_warmup_iters=2)
         with pytest.raises(ValueError):
-            pnp_fista(op, b, den, config, MomentumSchedule("beck"), np.zeros(op.n))
+            pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+                      np.zeros(op.n), warmup_iters=2)
 
 
 class TestRedApg:
+    # L = 2 and lambda = 1: theta = 1/L and mu = theta / lambda
+    THETA = MU = 0.5
+
     def test_fixed_point_is_stationary(self):
         _, op, b, den = inpaint_problem()
-        config = SolverConfig(lam=1.0, L=2.0, max_iter=10)
-        it = red_operator(op, den, config.mu, config.theta)
+        it = red_operator(op, den, self.MU, self.THETA)
         x_star = fixed_point(it, it.offset(b), tol=1e-14)
         # the stationary pre-image of x*: v* = theta W x* + (1 - theta) x*
         w_xstar = den.weights @ x_star
-        v_star = config.theta * w_xstar + (1.0 - config.theta) * x_star
-        trace = red_apg(op, b, den, config, MomentumSchedule("beck"), v_star)
+        v_star = self.THETA * w_xstar + (1.0 - self.THETA) * x_star
+        trace = red_apg(it, b, MomentumSchedule("beck"), v_star, max_iter=10)
         dists = [np.linalg.norm(x) for x in (trace.final - x_star,)]
         assert max(dists) <= 1e-8
 
     def test_theta_one_blends_to_pure_denoise(self):
         _, op, b, den = inpaint_problem()
-        config = SolverConfig(lam=1.0, L=1.0, max_iter=3)
+        mu = 1.0  # L = 1, lambda = 1
+        it = red_operator(op, den, mu, 1.0)
         v0 = gaussian_noise(Rng(40), op.n, 1.0)
-        trace = red_apg(op, b, den, config, MomentumSchedule("beck"), v0)
+        trace = red_apg(it, b, MomentumSchedule("beck"), v0, max_iter=3)
         # replicate the three iterations manually with theta = 1
-        mu = config.mu
         v = v0.copy()
         x_prev = None
         for k in range(1, 4):
@@ -300,19 +304,24 @@ class TestRedApg:
 
     def test_initialization_independence(self):
         _, op, b, den = inpaint_problem()
-        config = SolverConfig(lam=1.0, L=2.0, max_iter=20000, stop_tol=1e-10)
+        it = red_operator(op, den, self.MU, self.THETA)
         sched = MomentumSchedule("beck")
-        t0 = red_apg(op, b, den, config, sched, np.zeros(op.n))
-        t1 = red_apg(op, b, den, config, sched, Rng(9).uniforms(op.n))
+        t0 = red_apg(it, b, sched, np.zeros(op.n), max_iter=20000, stop_tol=1e-10)
+        t1 = red_apg(it, b, sched, Rng(9).uniforms(op.n), max_iter=20000, stop_tol=1e-10)
         diff = np.linalg.norm(t0.final - t1.final) / np.linalg.norm(t0.final)
         assert diff <= 1e-6
 
     def test_trace_has_psnr_when_truth_given(self):
         truth, op, b, den = inpaint_problem()
-        config = SolverConfig(lam=1.0, L=2.0, max_iter=20)
-        trace = red_apg(op, b, den, config, MomentumSchedule("beck"),
-                        np.zeros(op.n), truth=truth.data)
+        it = red_operator(op, den, self.MU, self.THETA)
+        trace = red_apg(it, b, MomentumSchedule("beck"), np.zeros(op.n), max_iter=20,
+                        truth=truth.data)
         assert trace.psnr is not None and len(trace.psnr) == trace.iterations
+
+    def test_pnp_map_rejected(self):
+        _, op, b, den = inpaint_problem()
+        with pytest.raises(ValueError, match="red map"):
+            red_apg(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"), np.zeros(op.n))
 
 
 class TestScaledPnpFista:
@@ -328,10 +337,11 @@ class TestScaledPnpFista:
             kernel=den_dsg.bands, degrees=np.ones(op.n),
             bands=den_dsg.bands, mode="nlm",
         )
-        config = SolverConfig(gamma=0.7, max_iter=60, stop_tol=0.0)
         sched = MomentumSchedule("beck")
-        a = pnp_fista(op, b, den_dsg, config, sched, np.zeros(op.n))
-        c = scaled_pnp_fista(op, b, den_unit, config, sched, np.zeros(op.n))
+        a = pnp_fista(pnp_operator(op, den_dsg, 0.7), b, sched, np.zeros(op.n),
+                      max_iter=60, stop_tol=0.0)
+        c = scaled_pnp_fista(scaled_operator(op, den_unit, 0.7), b, sched, np.zeros(op.n),
+                             max_iter=60, stop_tol=0.0)
         assert np.abs(a.final - c.final).max() <= 1e-12
 
     def test_fixed_point_is_stationary(self):
@@ -339,34 +349,31 @@ class TestScaledPnpFista:
         gamma = 0.9 / lambda_max_gram(op, diag=den.degrees).value
         it = scaled_operator(op, den, gamma)
         x_star = fixed_point(it, it.offset(b), tol=1e-14)
-        config = SolverConfig(gamma=gamma, max_iter=5)
-        trace = scaled_pnp_fista(op, b, den, config, MomentumSchedule("beck"), x_star)
+        trace = scaled_pnp_fista(it, b, MomentumSchedule("beck"), x_star, max_iter=5)
         assert np.linalg.norm(trace.final - x_star) <= 1e-9
 
     def test_requires_nlm_mode(self):
-        _, op, b, den = inpaint_problem(mode="dsg")
-        config = SolverConfig(gamma=0.5)
+        # the scaled map, which carries the degree diagonal, needs nlm weights
+        _, op, _, den = inpaint_problem(mode="dsg")
         with pytest.raises(ValueError):
-            scaled_pnp_fista(op, b, den, config, MomentumSchedule("beck"),
-                             np.zeros(op.n))
+            scaled_operator(op, den, 0.5)
 
     def test_two_initializations_same_limit(self):
         _, op, b, den = inpaint_problem(mode="nlm")
-        gamma = 0.9 / lambda_max_gram(op, diag=den.degrees).value
-        config = SolverConfig(gamma=gamma, max_iter=20000, stop_tol=1e-10)
+        it = scaled_operator(op, den, 0.9 / lambda_max_gram(op, diag=den.degrees).value)
         sched = MomentumSchedule("beck")
-        t0 = scaled_pnp_fista(op, b, den, config, sched, np.zeros(op.n))
-        t1 = scaled_pnp_fista(op, b, den, config, sched, Rng(52).uniforms(op.n))
+        t0 = scaled_pnp_fista(it, b, sched, np.zeros(op.n), max_iter=20000, stop_tol=1e-10)
+        t1 = scaled_pnp_fista(it, b, sched, Rng(52).uniforms(op.n), max_iter=20000,
+                              stop_tol=1e-10)
         assert np.linalg.norm(t0.final - t1.final) / np.linalg.norm(t0.final) <= 1e-6
 
 
 class TestTraceCsv:
     def test_full_columns(self, tmp_path):
         truth, op, b, den = inpaint_problem()
-        config = SolverConfig(gamma=0.5, max_iter=5)
         ref = np.zeros(op.n)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("beck"),
-                          np.zeros(op.n), truth=truth.data, x_ref=ref)
+        trace = pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+                          np.zeros(op.n), max_iter=5, truth=truth.data, x_ref=ref)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().splitlines()
@@ -379,8 +386,8 @@ class TestTraceCsv:
 
     def test_missing_columns_empty(self, tmp_path):
         _, op, b, den = inpaint_problem()
-        config = SolverConfig(gamma=0.5, max_iter=3)
-        trace = pnp_fista(op, b, den, config, MomentumSchedule("beck"), np.zeros(op.n))
+        trace = pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+                          np.zeros(op.n), max_iter=3)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         row = path.read_text().splitlines()[1].split(",")
@@ -409,21 +416,20 @@ def test_matches_hand_rolled_recurrence(kind):
     _, op, b, den = inpaint_problem(mode="nlm" if kind == "scaled" else "dsg")
     sched = MomentumSchedule("log1p")  # alpha_1 != 0 exercises the start
     x0 = Rng(53).uniforms(op.n)
+    max_iter = 25
     if kind == "red":
-        config = SolverConfig(lam=1.0, L=2.0, max_iter=25, stop_tol=0.0)
-        it = red_operator(op, den, config.mu, config.theta)
-        trace = red_apg(op, b, den, config, sched, x0)
-        x = x_prev = prox_quadratic(op, b, config.mu, x0)
+        it = red_operator(op, den, 0.5, 0.5)
+        trace = red_apg(it, b, sched, x0, max_iter=max_iter, stop_tol=0.0)
+        x = x_prev = prox_quadratic(op, b, it.mu, x0)
     else:
-        config = SolverConfig(gamma=0.45, max_iter=25, stop_tol=0.0)
         make, solve = {"pnp": (pnp_operator, pnp_fista),
                        "scaled": (scaled_operator, scaled_pnp_fista)}[kind]
-        it = make(op, den, config.gamma)
-        trace = solve(op, b, den, config, sched, x0)
+        it = make(op, den, 0.45)
+        trace = solve(it, b, sched, x0, max_iter=max_iter, stop_tol=0.0)
         x_prev, x = x0, it.apply(x0) + it.offset(b)
     q = it.offset(b)
-    for k in range(1, config.max_iter):
+    for k in range(1, max_iter):
         y = x + sched.alpha(k) * (x - x_prev)
         x_prev, x = x, it.apply(y) + q
-    assert trace.iterations == config.max_iter
+    assert trace.iterations == max_iter
     assert np.linalg.norm(trace.final - x) <= 1e-12 * np.linalg.norm(x)

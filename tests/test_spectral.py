@@ -8,7 +8,6 @@ from pnpcert import (
     apply_w,
     build_denoiser,
     check_assumption,
-    fixed_point,
     gaussian_kernel,
     gaussian_noise,
     lambda_max_gram,
@@ -27,7 +26,8 @@ from pnpcert.spectral import SpectralReport, build_report
 from scipy import sparse
 
 from conftest import (
-    dense_oracle, materialize, momentum_companion, reference_symmetric, synthetic_image,
+    dense_oracle, fixed_point, materialize, momentum_companion, reference_symmetric,
+    synthetic_image,
 )
 
 
