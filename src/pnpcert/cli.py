@@ -5,8 +5,8 @@ Config files are flat ``key = value`` text, one pair per line, with ``#``
 comments that start a line or follow whitespace. Unknown keys are rejected.
 The ``gamma`` key is a fraction of the certified step-size bound: the solver
 uses gamma / lambda_hat where lambda_hat is the largest Gram eigenvalue,
-exact from the operator's structure (an ARPACK estimate for the
-degree-rescaled Gram map of the scaled algorithm). ``iteration_operator`` is
+exact from the operator's structure (for the scaled algorithm, that of
+D^-1/2 A^T A D^-1/2: exact for inpainting, ARPACK otherwise). ``iteration_operator`` is
 the one builder of the iteration map from a grid value: ``certify``
 certifies its maps, and ``run`` and ``schedules`` hand the solver its map at
 grid value ``gamma`` (1/L for red_apg), so they iterate the map ``certify``

@@ -268,7 +268,8 @@ def lambda_max_gram(
     eigenvalue of A A^T (max |H|^2, or its alias average for superres)
     otherwise; ``tol`` and ``max_iter`` are then unused. With ``diag`` set
     to a positive vector d, it is the top eigenvalue of the diagonally
-    rescaled Gram map diag(d)^-1/2 A^T A diag(d)^-1/2, from one ARPACK solve.
+    rescaled Gram map diag(d)^-1/2 A^T A diag(d)^-1/2: the largest entry of
+    mask / d for inpainting, one ARPACK solve otherwise.
     """
     if diag is None:
         top = 1.0 if op.kind == "inpaint" else float(op.aat_symbol.max())
@@ -276,6 +277,8 @@ def lambda_max_gram(
     diag = _check_len(diag, op.n)
     if np.any(diag <= 0):
         raise ValueError("diag entries must be positive")
+    if op.kind == "inpaint":  # the map is diagonal
+        return EigenEstimate(float(np.max(op.mask / diag)), True, 0)
     dis = 1.0 / np.sqrt(diag)
     return arpack_eigenvalue(lambda v: dis * op.gram(dis * v), op.n, "LA", tol, max_iter)
 

@@ -9,7 +9,8 @@ Every row uses the same window stencil, so K and W are banded: they are
 stored as scipy DIA matrices with one band per flat window offset
 di * cols + dj (Saad, Iterative Methods for Sparse Linear Systems, 3.4).
 The bands are sorted by offset, so a product adds each row's terms in
-ascending column order, as a CSR product does.
+ascending column order, as a CSR product does. Both normalizations scale
+K's bands in place into W's, so a denoiser holds one band set.
 
 Both act on images as a fixed sparse matrix-vector product once built, so
 the denoiser is an exactly linear map.
@@ -18,7 +19,6 @@ the denoiser is an exactly linear map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -53,13 +53,12 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class KernelDenoiser:
-    """Weights W as bands, and the degrees D; dsg keeps no K."""
+    """Weights W as bands, and the degrees D of their K, in either mode. dsg's W
+    is symmetric; nlm's W = D^-1 K is similar to D^1/2 W D^-1/2 = D^-1/2 K D^-1/2."""
 
-    kernel: sparse.dia_matrix | None  # K, symmetric nonnegative, positive diagonal
-    degrees: np.ndarray         # D = K 1
     bands: sparse.dia_matrix    # W, row-stochastic
+    degrees: np.ndarray         # D = K 1
     mode: str                   # "nlm" | "dsg"
-    norm_scale: float | None = None  # max of D^-1/2 K D^-1/2 1 (dsg only)
 
     @property
     def n(self) -> int:
@@ -73,14 +72,6 @@ class KernelDenoiser:
         oracle; the package itself multiplies with ``bands``.
         """
         return self.bands.tocsr()
-
-    @cached_property
-    def symmetric(self) -> sparse.dia_matrix:
-        """W's symmetric similar form, built once: W for dsg, D^-1/2 K D^-1/2 for nlm."""
-        if self.kernel is None:
-            return self.bands
-        dis = 1.0 / np.sqrt(self.degrees)
-        return _scale(self.kernel.copy(), dis, dis)
 
 
 def _window_value(di: int, dj: int, params: KernelParams) -> float:
@@ -166,10 +157,10 @@ def _degrees(kernel: sparse.dia_matrix) -> np.ndarray:
 
 
 def build_nlm(kernel: sparse.dia_matrix) -> KernelDenoiser:
-    """Row-stochastic weights W = D^-1 K with D = diag(K 1)."""
+    """Row-stochastic weights W = D^-1 K with D = diag(K 1). K is consumed: its
+    bands are scaled in place and become W's, so build a second K for any other use."""
     deg = _degrees(kernel)
-    W = _scale(kernel.copy(), 1.0 / deg)
-    return KernelDenoiser(kernel=kernel, degrees=deg, bands=W, mode="nlm")
+    return KernelDenoiser(bands=_scale(kernel, 1.0 / deg), degrees=deg, mode="nlm")
 
 
 def build_dsg(kernel: sparse.dia_matrix) -> KernelDenoiser:
@@ -178,8 +169,7 @@ def build_dsg(kernel: sparse.dia_matrix) -> KernelDenoiser:
     W = S / s_max + diag(1 - S 1 / s_max) with S = D^-1/2 K D^-1/2 and
     s_max the largest entry of S 1. The diagonal correction is nonnegative
     by construction and restores exact row sums of 1; it is added to the
-    offset-0 band. K is consumed: its bands are scaled in place and become
-    W's, so build a second K for any other use.
+    offset-0 band. K is consumed, as by ``build_nlm``; s_max is not kept.
     """
     deg = _degrees(kernel)
     dis = 1.0 / np.sqrt(deg)
@@ -188,7 +178,7 @@ def build_dsg(kernel: sparse.dia_matrix) -> KernelDenoiser:
     s_max = float(one_hat.max())
     W.data *= 1 / s_max
     W.data[np.flatnonzero(W.offsets == 0)[0]] += 1.0 - one_hat / s_max
-    return KernelDenoiser(kernel=None, degrees=deg, bands=W, mode="dsg", norm_scale=s_max)
+    return KernelDenoiser(bands=W, degrees=deg, mode="dsg")
 
 
 def build_denoiser(guide: Image, params: KernelParams, mode: str) -> KernelDenoiser:

@@ -183,11 +183,12 @@ def prox_quadratic(
     return solve_shifted_gram(op, mu, v + mu * op.adjoint(b))
 
 
-def _guard_iterate(x: np.ndarray, k: int, bound: float) -> None:
+def _guard_iterate(x: np.ndarray, k: int, bound: float) -> float:
     if not np.all(np.isfinite(x)):
         raise DivergenceError(k, "non-finite iterate")
-    if np.linalg.norm(x) > bound:
+    if (norm := np.linalg.norm(x)) > bound:
         raise DivergenceError(k, "iterate norm exceeded the divergence guard")
+    return norm  # the stop test reuses it
 
 
 def _start(it: IterationOperator, x0: np.ndarray) -> np.ndarray:
@@ -231,10 +232,10 @@ def _accelerate(
     for k in range(1, max_iter + 1):
         given = k == 1 and x1 is not None
         x = x1 if given else it.step(y, data)
-        _guard_iterate(x, k, guard)
+        x_norm = _guard_iterate(x, k, guard)
         a = schedule.alpha(k)
         tracer.record(k, a, x, x_prev)
-        converged = not given and bool(tracer.step[-1] <= stop_tol * np.linalg.norm(x))
+        converged = not given and bool(tracer.step[-1] <= stop_tol * x_norm)
         y = x + a * (x - x_prev)
         x_prev = x
         if k <= warmup_iters:

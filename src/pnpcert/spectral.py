@@ -2,14 +2,14 @@
 
 Each solver's frozen-momentum update is an affine map x -> P x + q, and
 ``IterationOperator.step`` is the one place where the three maps are
-written: the solvers iterate it, and ``apply`` (P) and ``offset`` (q) are
-the same method with a zero data term or at x = 0. So the certified map is
-the iterated map. When the eigenvalues of P lie in [0, 1), the full
-momentum iteration converges globally and linearly, with asymptotic rate
-sqrt(rho(P)): the limiting two-step update has companion form
-[[2P, -P], [I, 0]], whose eigenvalues lie on |lambda| = sqrt(mu) for each
-eigenvalue mu of P. An eigenvalue mu < -1/3, possible with pnp steps above
-1 / lambda_max(A^T A), gives roots of modulus |mu| + sqrt(mu^2 - mu) > 1.
+written: the solvers iterate it, and ``apply`` (P) is the same method with
+a zero data term. So the certified map is the iterated map. When the
+eigenvalues of P lie in [0, 1), the full momentum iteration converges
+globally and linearly, with asymptotic rate sqrt(rho(P)): the limiting
+two-step update has companion form [[2P, -P], [I, 0]], whose eigenvalues
+lie on |lambda| = sqrt(mu) for each eigenvalue mu of P. An eigenvalue
+mu < -1/3, possible with pnp steps above 1 / lambda_max(A^T A), gives roots
+of modulus |mu| + sqrt(mu^2 - mu) > 1.
 
 This module builds the map for the three schemes, finds the eigenvalues of
 P that bound the rate with ARPACK (Lehoucq, Sorensen & Yang, SIAM 1998) on
@@ -86,10 +86,6 @@ class IterationOperator:
         if x.size != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.size}")
         return self.step(x, 0.0)
-
-    def offset(self, b: np.ndarray) -> np.ndarray:
-        """Constant term q of the affine update x -> P x + q for measurements b."""
-        return self.step(np.zeros(self.n), self.data_term(b))
 
 
 def _check_pair(op: ForwardOp, denoiser: KernelDenoiser) -> None:
@@ -183,19 +179,23 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     The spectrum checks read the lowest and the two highest eigenvalues of W
     from one sparse symmetric Lanczos solve (ARPACK ``eigsh``, both ends) on
     W for dsg weights, or on its degree-symmetrized similar form
-    D^1/2 W D^-1/2 for nlm weights. The same path, with tolerance 1e-12,
-    serves every n >= 4; the start vector is ``fwdops.arpack_start``, so
+    D^1/2 W D^-1/2 for nlm weights, applied as x -> s (W (x / s)) with
+    s = sqrt(D) and never built. The same path, with tolerance 1e-12, serves
+    every n >= 4; the start vector is ``fwdops.arpack_start``, so
     reports are deterministic. If ARPACK does not converge, the spectrum
     values are NaN and both spectrum verdicts are False.
     """
     # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = denoiser.n
+    W = denoiser.bands
     ones = np.ones(n)
-    defect = float(np.abs(denoiser.bands @ ones - ones).max())
+    defect = float(np.abs(W @ ones - ones).max())
     a_one = float(np.linalg.norm(op.apply(ones)))
-    sym = denoiser.symmetric
+    s = np.sqrt(denoiser.degrees)
+    sym = W if denoiser.mode == "dsg" else LinearOperator(
+        (n, n), matvec=lambda x: s * (W @ (x / s)), dtype=np.float64)
     v0 = arpack_start(n)
     try:
         ends = eigsh(sym, k=3, which="BE", v0=v0, tol=1e-12, return_eigenvectors=False)

@@ -84,6 +84,11 @@ def fixed_point(iter_op, q: np.ndarray, tol: float = 1e-12,
     raise RuntimeError(f"fixed-point iteration did not reach tol={tol} in {max_iter} steps")
 
 
+def offset(iter_op, b: np.ndarray) -> np.ndarray:
+    """Constant term q of the affine update x -> P x + q for measurements b."""
+    return iter_op.step(np.zeros(iter_op.n), iter_op.data_term(b))
+
+
 def momentum_companion(p_dense: np.ndarray) -> np.ndarray:
     """Dense 2n x 2n companion matrix [[2P, -P], [I, 0]] of the limit update."""
     n = p_dense.shape[0]

@@ -169,14 +169,21 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
         assert (tmp_path / "out" / "mask.pgm").exists()
 
-    def test_deterministic_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("algorithm, denoiser",
+                             [("pnp_fista", "dsg"), ("scaled_pnp_fista", "nlm")])
+    def test_deterministic_artifacts(self, tmp_path, algorithm, denoiser):
         write_truth(tmp_path)
-        cfg_path = write_config(tmp_path)
+        cfg_path = write_config(tmp_path, algorithm=algorithm, denoiser=denoiser)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_a)]) == EXIT_OK
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_b)]) == EXIT_OK
-        for name in ("recon.pgm", "trace.csv", "summary.txt"):
+        for out in (out_a, out_b):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            assert main(["certify", "--config", str(cfg_path), "--grid", "0.5,0.9",
+                         "--out", str(out / "cert")]) == EXIT_OK
+        reports = sorted(p.name for p in (out_a / "cert" / "reports").glob("*.txt"))
+        assert len(reports) == 2
+        for name in ("recon.pgm", "trace.csv", "summary.txt", "cert/certify.csv",
+                     *(f"cert/reports/{r}" for r in reports)):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_ref_limit_column(self, tmp_path):
@@ -355,21 +362,22 @@ class TestCertify:
         assert kv["check_fix_simple"] == "false"
         assert kv["check_spectrum_low"] == kv["second_eigenvalue"] == "nan"
 
-    def test_scaled_sweep_builds_symmetric_weights_once(self, tmp_path, monkeypatch):
+    def test_nlm_sweep_scales_no_band_set_on_both_sides(self, tmp_path, monkeypatch):
         from pnpcert import kernel_denoise
 
-        # an nlm denoiser scales K on both sides only to build D^-1/2 K D^-1/2
-        built = []
+        # two-sided scaling would build D^-1/2 K D^-1/2 beside W; the spectrum
+        # check applies it as D^1/2 W D^-1/2 instead
+        scaled = []
         scale = kernel_denoise._scale
         monkeypatch.setattr(kernel_denoise, "_scale", lambda K, left, right=None: (
-            built.append(right is not None) or scale(K, left, right)))
+            scaled.append(right is not None) or scale(K, left, right)))
         write_truth(tmp_path, 24, 24)
         cfg_path = write_config(tmp_path, task="inpaint", denoiser="nlm",
                                 algorithm="scaled_pnp_fista")
         code = main(["certify", "--config", str(cfg_path), "--grid", "0.3,0.5,0.9",
                      "--power-max-iter", "300"])
         assert code == EXIT_OK
-        assert sum(built) == 1  # check_assumption and every grid value share it
+        assert scaled == [False]  # build_nlm's one-sided D^-1 only
 
     def test_deblur_gamma_interval_is_exact(self, tmp_path):
         # a normalized nonnegative kernel has lambda_max(A^T A) = H(0)^2 = 1

@@ -247,6 +247,14 @@ class TestLambdaMax:
         )
         assert est.value == pytest.approx(np.linalg.eigvalsh(dense)[-1], abs=1e-9)
 
+    def test_scaled_inpaint_is_exact(self):
+        # D^-1/2 A'A D^-1/2 is the diagonal mask / d: its top entry, no ARPACK solve
+        op = make_inpaint(16, 16, 0.3, Rng(8))
+        diag = 1.0 + 5.0 * Rng(9).uniforms(256)
+        est = lambda_max_gram(op, diag=diag)
+        assert est.value == float((1.0 / diag[op.mask]).max())
+        assert est.converged and est.iterations == 0
+
 
 class TestObserve:
     def test_sigma_zero_inpaint(self):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from conftest import (
     reference_dsg,
     reference_kernel,
     reference_nlm,
+    reference_row_sums,
     reference_symmetric,
     synthetic_image,
 )
@@ -233,7 +235,6 @@ class TestCsrAssembly:
         assert np.array_equal(K.diagonal(), np.ones(K.shape[0]))
         assert np.all(got >= 0.0)
         assert np.all(got <= h)
-        before = K.data.copy()
 
         Kc = K.tocsr()
         m = int(np.diff(ref.indptr).max())  # most terms in one row sum
@@ -244,17 +245,12 @@ class TestCsrAssembly:
         assert np.array_equal(nlm.degrees, deg_ref)
         assert_within_row_sum_rounding(nlm.bands.toarray(), reference_nlm(Kc)[0].toarray(),
                                        m, "nlm")
-        assert np.array_equal(nlm.symmetric.toarray(),
-                              reference_symmetric(Kc, deg_ref).toarray())
-        assert nlm.symmetric is nlm.symmetric  # built once, then cached
-        assert np.array_equal(K.data, before)  # build_nlm leaves K as it was
+        assert nlm.bands is K  # scaled in place
 
         dsg = build_dsg(K2 := build_kernel(guide, params))
-        W_ref, deg_ref, s_max = reference_dsg(Kc, band_order=True)
-        assert dsg.kernel is None
+        W_ref, deg_ref, _ = reference_dsg(Kc, band_order=True)
         assert dsg.bands is K2  # scaled in place
         assert np.array_equal(dsg.degrees, deg_ref)
-        assert dsg.norm_scale == s_max
         # both CSR forms drop affinities that underflowed to 0
         assert_same_csr(dsg.weights, W_ref)
         assert np.array_equal(dsg.bands.toarray(), W_ref.toarray())
@@ -265,14 +261,13 @@ class TestCsrAssembly:
         guide, params = random_guide(6, 7, 22), KernelParams(1, 2, 0.1)
         K = build_kernel(guide, params)
         nlm = build_nlm(K)
-        assert nlm.kernel is K
-        for M in (nlm.bands, nlm.symmetric):
-            assert not np.shares_memory(M.data, K.data)
-            assert np.array_equal(M.offsets, K.offsets)
         K2 = build_kernel(guide, params)
         dsg = build_dsg(K2)
-        assert dsg.bands is K2 and dsg.symmetric is dsg.bands  # a dsg denoiser keeps no K
-        for den in (nlm, dsg):  # a new CSR copy on every access
+        assert nlm.bands is K and dsg.bands is K2  # both consume their K
+        for den in (nlm, dsg):  # one band set and its degrees, in either mode
+            assert [f.name for f in fields(den)] == ["bands", "degrees", "mode"]
+            assert not hasattr(den, "symmetric")
+            # a new CSR copy on every access
             assert den.weights is not den.weights
             assert not np.shares_memory(den.weights.data, den.bands.data)
 
@@ -304,10 +299,9 @@ class TestBuildMemory:
         finally:
             tracemalloc.stop()
         w_bytes = band_bytes(den.bands)
-        # dsg scales K's bands in place; nlm holds K's and W's
-        assert peak <= {"dsg": 1.2, "nlm": 2.2}[mode] * w_bytes
-        if mode == "dsg":  # W and the degrees only
-            assert held <= 1.1 * w_bytes
+        # both modes scale K's bands in place and hold W and the degrees only
+        assert peak <= 1.2 * w_bytes
+        assert held <= 1.1 * w_bytes
 
     def test_kernel_peak(self):
         # per offset, the box sums hold a few image-sized arrays, not a
@@ -336,10 +330,11 @@ class TestNlm:
         assert np.abs(den.weights @ np.ones(36) - 1.0).max() <= 1e-12
 
     def test_eigenvalues_in_unit_interval(self):
-        guide = random_guide(6, 6, 10)
-        den = build_nlm(build_kernel(guide, KernelParams(1, 2, 0.15)))
+        guide, params = random_guide(6, 6, 10), KernelParams(1, 2, 0.15)
+        den = build_nlm(build_kernel(guide, params))
         # spectrum of the nonsymmetric weights equals that of the symmetrized form
-        eig = np.linalg.eigvalsh(reference_symmetric(den.kernel, den.degrees).toarray())
+        K = build_kernel(guide, params)  # build_nlm consumed the first K
+        eig = np.linalg.eigvalsh(reference_symmetric(K, den.degrees).toarray())
         assert eig.min() >= -1e-10
         assert eig.max() <= 1.0 + 1e-10
 
@@ -365,7 +360,6 @@ class TestDsg:
         guide = random_guide(6, 6, 14)
         den = build_dsg(build_kernel(guide, KernelParams(1, 3, 0.08)))
         assert den.weights.toarray().min() >= 0.0
-        assert den.norm_scale is not None and den.norm_scale > 0
 
     def test_constant_guide_correction_structure(self):
         # identical rows share one correction value, rows attaining the max
@@ -373,9 +367,13 @@ class TestDsg:
         guide = Image(np.full(81, 0.5), 9, 9)
         params = KernelParams(1, 1, 0.1)
         den = build_dsg(build_kernel(guide, params))
-        # a dsg denoiser keeps no K: S = D^-1/2 K D^-1/2 comes from the nlm one
-        one_hat = build_nlm(build_kernel(guide, params)).symmetric @ np.ones(81)
-        corr = 1.0 - one_hat / den.norm_scale
+        # a denoiser keeps no K: S 1 with S = D^-1/2 K D^-1/2 comes from a second K,
+        # summed in build_dsg's order, and s_max is its largest entry
+        S = reference_symmetric(build_kernel(guide, params), den.degrees)
+        one_hat = reference_row_sums(S, band_order=True)
+        s_max = one_hat.max()
+        corr = 1.0 - one_hat / s_max
+        assert np.array_equal(den.bands.diagonal(), S.diagonal() * (1 / s_max) + corr)
         interior = corr.reshape(9, 9)[2:7, 2:7].ravel()
         assert np.all(interior == interior[0])
         assert corr.min() == 0.0
@@ -451,7 +449,6 @@ class TestApplyW:
         den = build_denoiser(guide, KernelParams(1, window_radius, 0.1, "hat"), mode)
         x = gaussian_noise(Rng(seed), den.n, 1.0)
         assert np.array_equal(apply_w(den, x), den.weights @ x)
-        assert np.array_equal(den.symmetric @ x, den.symmetric.tocsr() @ x)
         K = build_kernel(guide, KernelParams(1, window_radius, 0.1, "hat"))
         assert np.array_equal(K @ x, K.tocsr() @ x)
 

@@ -28,14 +28,12 @@ from pnpcert.kernel_denoise import KernelDenoiser
 from pnpcert.solvers import DivergenceError, solve_shifted_gram
 from pnpcert.spectral import pnp_operator, red_operator, scaled_operator
 
-from conftest import ORACLE_OPERATORS, dense_forward, fixed_point, synthetic_image
+from conftest import ORACLE_OPERATORS, dense_forward, fixed_point, offset, synthetic_image
 
 
 def identity_denoiser(n: int, mode: str = "dsg") -> KernelDenoiser:
     eye = sparse.identity(n, format="dia")
-    return KernelDenoiser(
-        kernel=eye, degrees=np.ones(n), bands=eye, mode=mode, norm_scale=1.0
-    )
+    return KernelDenoiser(bands=eye, degrees=np.ones(n), mode=mode)
 
 
 def inpaint_problem(rows=16, cols=16, fraction=0.3, sigma=0.03, mode="dsg", seed=0):
@@ -187,9 +185,9 @@ class TestPnpFista:
         _, op, b, den = inpaint_problem()
         gamma = 0.9 / lambda_max_gram(op).value
         it = pnp_operator(op, den, gamma)
-        x_star = fixed_point(it, it.offset(b), tol=1e-14)
+        x_star = fixed_point(it, offset(it, b), tol=1e-14)
         trace = pnp_fista(it, b, MomentumSchedule("beck"), x_star, max_iter=5)
-        first_step = it.apply(x_star) + it.offset(b)
+        first_step = it.apply(x_star) + offset(it, b)
         assert np.linalg.norm(first_step - x_star) <= 1e-10 * (1 + np.linalg.norm(x_star))
         assert np.linalg.norm(trace.final - x_star) <= 1e-9
 
@@ -202,7 +200,7 @@ class TestPnpFista:
         rho = spectral_radius(it, tol=1e-12)
         assert rho.converged and rho.value < 1
         rate = accelerated_radius(rho.value)
-        x_star = fixed_point(it, it.offset(b), tol=1e-14)
+        x_star = fixed_point(it, offset(it, b), tol=1e-14)
         trace = pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n),
                           max_iter=20000, stop_tol=1e-9, x_ref=x_star)
         tail = slice(3 * trace.iterations // 4, trace.iterations)
@@ -242,7 +240,7 @@ class TestPnpFista:
         trace = pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n),
                           max_iter=20000, stop_tol=stop_tol)
         assert trace.converged
-        step = it.apply(trace.final) + it.offset(b)
+        step = it.apply(trace.final) + offset(it, b)
         assert np.linalg.norm(trace.final - step) <= 10 * stop_tol * np.linalg.norm(
             trace.final
         )
@@ -275,7 +273,7 @@ class TestRedApg:
     def test_fixed_point_is_stationary(self):
         _, op, b, den = inpaint_problem()
         it = red_operator(op, den, self.MU, self.THETA)
-        x_star = fixed_point(it, it.offset(b), tol=1e-14)
+        x_star = fixed_point(it, offset(it, b), tol=1e-14)
         # the stationary pre-image of x*: v* = theta W x* + (1 - theta) x*
         w_xstar = den.weights @ x_star
         v_star = self.THETA * w_xstar + (1.0 - self.THETA) * x_star
@@ -333,10 +331,7 @@ class TestScaledPnpFista:
             synthetic_image(8, 8), KernelParams(1, 2, 0.15), "dsg"
         )
         # synthetic nlm-mode denoiser with the same weights and unit degrees
-        den_unit = KernelDenoiser(
-            kernel=den_dsg.bands, degrees=np.ones(op.n),
-            bands=den_dsg.bands, mode="nlm",
-        )
+        den_unit = KernelDenoiser(bands=den_dsg.bands, degrees=np.ones(op.n), mode="nlm")
         sched = MomentumSchedule("beck")
         a = pnp_fista(pnp_operator(op, den_dsg, 0.7), b, sched, np.zeros(op.n),
                       max_iter=60, stop_tol=0.0)
@@ -348,7 +343,7 @@ class TestScaledPnpFista:
         _, op, b, den = inpaint_problem(mode="nlm")
         gamma = 0.9 / lambda_max_gram(op, diag=den.degrees).value
         it = scaled_operator(op, den, gamma)
-        x_star = fixed_point(it, it.offset(b), tol=1e-14)
+        x_star = fixed_point(it, offset(it, b), tol=1e-14)
         trace = scaled_pnp_fista(it, b, MomentumSchedule("beck"), x_star, max_iter=5)
         assert np.linalg.norm(trace.final - x_star) <= 1e-9
 
@@ -401,7 +396,7 @@ def test_step_map_is_affine(seed):
     _, op, b, den = inpaint_problem()
     gamma = 0.45
     it = pnp_operator(op, den, gamma)
-    q = it.offset(b)
+    q = offset(it, b)
     rng = Rng(seed)
     x = gaussian_noise(rng, op.n, 1.0)
     y = gaussian_noise(rng, op.n, 1.0)
@@ -426,8 +421,8 @@ def test_matches_hand_rolled_recurrence(kind):
                        "scaled": (scaled_operator, scaled_pnp_fista)}[kind]
         it = make(op, den, 0.45)
         trace = solve(it, b, sched, x0, max_iter=max_iter, stop_tol=0.0)
-        x_prev, x = x0, it.apply(x0) + it.offset(b)
-    q = it.offset(b)
+        x_prev, x = x0, it.apply(x0) + offset(it, b)
+    q = offset(it, b)
     for k in range(1, max_iter):
         y = x + sched.alpha(k) * (x - x_prev)
         x_prev, x = x, it.apply(y) + q

@@ -7,6 +7,7 @@ from pnpcert import (
     accelerated_radius,
     apply_w,
     build_denoiser,
+    build_kernel,
     check_assumption,
     gaussian_kernel,
     gaussian_noise,
@@ -26,7 +27,7 @@ from pnpcert.spectral import SpectralReport, build_report
 from scipy import sparse
 
 from conftest import (
-    dense_oracle, fixed_point, materialize, momentum_companion, reference_symmetric,
+    dense_oracle, fixed_point, materialize, momentum_companion, offset, reference_symmetric,
     synthetic_image,
 )
 
@@ -94,13 +95,13 @@ class TestApplyP:
         it = (pnp_operator if mode == "dsg" else scaled_operator)(op, den, gamma)
         scale = np.ones(op.n) if mode == "dsg" else 1.0 / den.degrees
         expected = gamma * (den.weights @ (scale * op.adjoint(b)))
-        assert np.abs(it.offset(b) - expected).max() <= 1e-14
+        assert np.abs(offset(it, b) - expected).max() <= 1e-14
 
     def test_red_offset_solves_regularized_system(self):
         op, b, den = small_problem()
         mu = 0.5
         it = red_operator(op, den, mu=mu, theta=0.5)
-        r = it.offset(b)
+        r = offset(it, b)
         assert np.abs(r + mu * op.gram(r) - mu * op.adjoint(b)).max() <= 1e-10
 
 
@@ -126,7 +127,8 @@ class TestSpectralRadius:
         gamma = 0.8 / lambda_max_gram(op, diag=den.degrees).value
         it = scaled_operator(op, den, gamma)
         # oracle: dense product of the symmetrized weights and scaled gram
-        Ws = reference_symmetric(den.kernel, den.degrees).toarray()
+        K = build_kernel(synthetic_image(8, 8), KernelParams(1, 2, 0.15, "hat"))
+        Ws = reference_symmetric(K, den.degrees).toarray()
         dis = 1.0 / np.sqrt(den.degrees)
         Gs = np.eye(op.n) - gamma * (dis[:, None] * dense_gram(op) * dis[None, :])
         eig = np.linalg.eigvals(Ws @ Gs)
@@ -235,7 +237,7 @@ class TestFixedPoint:
         op, b, den = small_problem()
         gamma = 0.9 / lambda_max_gram(op).value
         it = pnp_operator(op, den, gamma)
-        q = it.offset(b)
+        q = offset(it, b)
         x = fixed_point(it, q, tol=1e-14)
         P = materialize(it.apply, op.n)
         expected = np.linalg.solve(np.eye(op.n) - P, q)
@@ -244,7 +246,7 @@ class TestFixedPoint:
     def test_red_fixed_point_dense(self):
         op, b, den = small_problem()
         it = red_operator(op, den, mu=0.5, theta=0.5)
-        r = it.offset(b)
+        r = offset(it, b)
         x = fixed_point(it, r, tol=1e-13)
         P = materialize(it.apply, op.n)
         expected = np.linalg.solve(np.eye(op.n) - P, r)
@@ -317,7 +319,7 @@ class TestCheckAssumption:
     def test_identity_denoiser_with_partial_mask_fails(self):
         op = make_inpaint(8, 8, 0.3, Rng(11))
         eye = sparse.identity(op.n, format="dia")
-        den = KernelDenoiser(kernel=eye, degrees=np.ones(op.n), bands=eye, mode="dsg")
+        den = KernelDenoiser(bands=eye, degrees=np.ones(op.n), mode="dsg")
         checks = check_assumption(den, op)
         # every vector is fixed: the eigenvalue 1 is not simple
         assert not checks.fix_ok
@@ -328,8 +330,10 @@ class TestCheckAssumption:
     @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (9, 8),
                                             (12, 12)])
     def test_matches_dense_eigenvalues(self, rows, cols, mode, window):
-        den = build_denoiser(synthetic_image(rows, cols), KernelParams(1, 2, 0.15, window), mode)
-        sym = den.weights if mode == "dsg" else reference_symmetric(den.kernel, den.degrees)
+        guide, params = synthetic_image(rows, cols), KernelParams(1, 2, 0.15, window)
+        den = build_denoiser(guide, params, mode)
+        sym = (den.weights if mode == "dsg"
+               else reference_symmetric(build_kernel(guide, params), den.degrees))
         eig = np.linalg.eigvalsh(sym.toarray())
         checks = check_assumption(den, make_inpaint(rows, cols, 0.5, Rng(3)))
         assert checks.spectrum_low == pytest.approx(eig[0], abs=1e-12)
