@@ -46,9 +46,6 @@ from .spectral import (
     SpectralReport,
     accelerated_radius,
     check_assumption,
-    pnp_operator,
-    red_operator,
-    scaled_operator,
     spectral_radius,
 )
 
@@ -61,6 +58,5 @@ __all__ = [
     "MomentumSchedule", "SolverTrace", "parse_schedule",
     "pnp_fista", "prox_quadratic", "red_apg", "scaled_pnp_fista",
     "IterationOperator", "SpectralReport", "accelerated_radius",
-    "check_assumption", "pnp_operator",
-    "red_operator", "scaled_operator", "spectral_radius",
+    "check_assumption", "spectral_radius",
 ]

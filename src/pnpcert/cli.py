@@ -185,13 +185,9 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         if cfg.task == "deblur":
             op = fwdops.make_blur(truth.rows, truth.cols, kernel)
         else:
-            if truth.rows % cfg.sr_factor or truth.cols % cfg.sr_factor:
-                raise ConfigError(
-                    f"image {truth.rows}x{truth.cols} not divisible by sr_factor {cfg.sr_factor}"
-                )
             op = fwdops.make_superres(truth.rows, truth.cols, kernel, cfg.sr_factor)
     observed = fwdops.observe(op, truth, cfg.noise_sigma, rng)
-    guide = kernel_denoise.make_guide(cfg.task, observed, op)
+    guide = kernel_denoise.make_guide(observed, op)
     mode = "nlm" if cfg.algorithm == "scaled_pnp_fista" else cfg.denoiser
     denoiser = kernel_denoise.build_denoiser(guide, _kernel_params(cfg), mode)
     diag = denoiser.degrees if cfg.algorithm == "scaled_pnp_fista" else None
@@ -252,11 +248,11 @@ def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOp
     if cfg.algorithm == "red_apg":
         if not 0 < grid_value <= 1:
             raise ConfigError("red grid values are 1/L and must lie in (0, 1]")
-        return spectral.red_operator(
-            prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value
+        return spectral.IterationOperator(
+            "red", prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value
         )
-    make = spectral.pnp_operator if cfg.algorithm == "pnp_fista" else spectral.scaled_operator
-    return make(prob.op, prob.denoiser, prob.step_size(grid_value))
+    kind = "pnp" if cfg.algorithm == "pnp_fista" else "scaled_pnp"
+    return spectral.IterationOperator(kind, prob.op, prob.denoiser, prob.step_size(grid_value))
 
 
 def certify_grid(prob: Problem, grid, **eigensolver) -> list[spectral.SpectralReport]:

@@ -104,7 +104,7 @@ class ForwardOp:
         return fft.irfft2(fft.rfft2(g) * h, s=g.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = _check_len(x, self.n)
+        x = check_len(x, self.n)
         if self.kind == "inpaint":
             return x[self.mask]
         out = self._convolve(x.reshape(self.rows_in, self.cols_in), transpose=False)
@@ -113,7 +113,7 @@ class ForwardOp:
         return out.reshape(-1)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = _check_len(y, self.m)
+        y = check_len(y, self.m)
         if self.kind == "inpaint":
             out = np.zeros(self.n)
             out[self.mask] = y
@@ -131,7 +131,8 @@ class ForwardOp:
         return self.adjoint(self.apply(x))
 
 
-def _check_len(v: np.ndarray, n: int) -> np.ndarray:
+def check_len(v: np.ndarray, n: int) -> np.ndarray:
+    """v as a flat float64 array; ValueError unless it has n entries (every length check)."""
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size != n:
         raise ValueError(f"length mismatch: expected {n}, got {v.size}")
@@ -244,7 +245,7 @@ def solve_shifted_gram(op: ForwardOp, mu: float, rhs: np.ndarray) -> np.ndarray:
     (I + mu A^T A)^-1 = I - mu A^T (I + mu A A^T)^-1 A
     with A A^T diagonal in the coarse grid's Fourier basis.
     """
-    rhs = _check_len(rhs, op.n)
+    rhs = check_len(rhs, op.n)
     if op.kind == "inpaint":
         return rhs / (1.0 + mu * op.mask)
     if op.kind == "blur":
@@ -274,7 +275,7 @@ def lambda_max_gram(
     if diag is None:
         top = 1.0 if op.kind == "inpaint" else float(op.aat_symbol.max())
         return EigenEstimate(top, True, 0)
-    diag = _check_len(diag, op.n)
+    diag = check_len(diag, op.n)
     if np.any(diag <= 0):
         raise ValueError("diag entries must be positive")
     if op.kind == "inpaint":  # the map is diagonal

@@ -13,7 +13,8 @@ ascending column order, as a CSR product does. Both normalizations scale
 K's bands in place into W's, so a denoiser holds one band set.
 
 Both act on images as a fixed sparse matrix-vector product once built, so
-the denoiser is an exactly linear map.
+the denoiser is an exactly linear map. ``make_guide`` derives the guide from
+the measurements by the forward operator's kind alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage, sparse
 
-from .fwdops import ForwardOp
+from .fwdops import ForwardOp, check_len
 from .imgcore import Image
 
 @dataclass(frozen=True)
@@ -191,35 +192,26 @@ def build_denoiser(guide: Image, params: KernelParams, mode: str) -> KernelDenoi
 
 
 def apply_w(denoiser: KernelDenoiser, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != denoiser.n:
-        raise ValueError(f"length mismatch: expected {denoiser.n}, got {x.size}")
-    return denoiser.bands @ x
+    return denoiser.bands @ check_len(x, denoiser.n)
 
 
-def make_guide(task: str, observed: np.ndarray, op: ForwardOp) -> Image:
-    """Guide image from the measurements, fixed before any solver iteration.
+def make_guide(observed: np.ndarray, op: ForwardOp) -> Image:
+    """Guide image from the measurements, fixed before any solver iteration,
+    chosen by the operator's kind (a superres factor of 1 builds a blur):
 
     inpaint: zero-fill unobserved pixels, then a 3x3 median filter;
-    deblur: the observed image verbatim;
+    blur: the observed image verbatim;
     superres: bicubic upsampling of the observed image by the stride factor.
     """
-    observed = np.asarray(observed, dtype=np.float64).reshape(-1)
-    if observed.size != op.m:
-        raise ValueError(f"length mismatch: expected {op.m} measurements, got {observed.size}")
-    kind_for_task = {"inpaint": "inpaint", "deblur": "blur", "superres": "superres"}
-    if task not in kind_for_task:
-        raise ValueError(f"unknown task: {task!r}")
-    if kind_for_task[task] != op.kind:
-        raise ValueError(f"task {task!r} does not match operator kind {op.kind!r}")
-    if task == "inpaint":
+    observed = check_len(observed, op.m)
+    if op.kind == "inpaint":
         filled = np.zeros(op.n)
         filled[op.mask] = observed
         grid = ndimage.median_filter(
             filled.reshape(op.rows_in, op.cols_in), size=3, mode="reflect"
         )
         return Image.from_grid(grid)
-    if task == "deblur":
+    if op.kind == "blur":
         return Image(observed, op.rows_in, op.cols_in)
     small = observed.reshape(op.rows_in // op.factor, op.cols_in // op.factor)
     # 'mirror' keeps the cubic-spline prefilter exact (constants reproduce)

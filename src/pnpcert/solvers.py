@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fwdops import ForwardOp, solve_shifted_gram
+from .fwdops import ForwardOp, check_len, solve_shifted_gram
 from .imgcore import psnr_vec
 from .spectral import IterationOperator
 
@@ -143,10 +143,10 @@ class _TraceBuilder:
         self.dist = [] if x_ref is not None else None
         self.psnr = [] if truth is not None else None
 
-    def record(self, k, a, x, x_prev):
+    def record(self, k, a, x, dx):
         self.k.append(k)
         self.alpha.append(a)
-        self.step.append(float(np.linalg.norm(x - x_prev)))
+        self.step.append(float(np.linalg.norm(dx)))
         if self.dist is not None:
             self.dist.append(float(np.linalg.norm(x - self.x_ref)))
         if self.psnr is not None:
@@ -191,13 +191,6 @@ def _guard_iterate(x: np.ndarray, k: int, bound: float) -> float:
     return norm  # the stop test reuses it
 
 
-def _start(it: IterationOperator, x0: np.ndarray) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x0.size != it.n:
-        raise ValueError(f"start length {x0.size} != {it.n}")
-    return x0
-
-
 def _accelerate(
     it: IterationOperator,
     data: np.ndarray,
@@ -234,9 +227,10 @@ def _accelerate(
         x = x1 if given else it.step(y, data)
         x_norm = _guard_iterate(x, k, guard)
         a = schedule.alpha(k)
-        tracer.record(k, a, x, x_prev)
+        dx = x - x_prev
+        tracer.record(k, a, x, dx)
         converged = not given and bool(tracer.step[-1] <= stop_tol * x_norm)
-        y = x + a * (x - x_prev)
+        y = x + a * dx
         x_prev = x
         if k <= warmup_iters:
             it = rebuild(x)
@@ -271,7 +265,7 @@ def pnp_fista(
     """
     if it.kind == "red":
         raise ValueError("red maps are iterated by red_apg")
-    return _accelerate(it, it.data_term(b), schedule, _start(it, x0), max_iter, stop_tol,
+    return _accelerate(it, it.data_term(b), schedule, check_len(x0, it.n), max_iter, stop_tol,
                        truth, x_ref, rebuild=rebuild, warmup_iters=warmup_iters)
 
 
@@ -303,6 +297,6 @@ def red_apg(
     if it.kind != "red":
         raise ValueError("red_apg iterates a red map")
     data = it.data_term(b)
-    v0 = _start(it, v0)
+    v0 = check_len(v0, it.n)
     x1 = solve_shifted_gram(it.op, it.mu, v0 + data)
     return _accelerate(it, data, schedule, v0, max_iter, stop_tol, truth, x_ref, x1=x1)

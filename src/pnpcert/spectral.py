@@ -11,11 +11,12 @@ lie on |lambda| = sqrt(mu) for each eigenvalue mu of P. An eigenvalue
 mu < -1/3, possible with pnp steps above 1 / lambda_max(A^T A), gives roots
 of modulus |mu| + sqrt(mu^2 - mu) > 1.
 
-This module builds the map for the three schemes, finds the eigenvalues of
-P that bound the rate with ARPACK (Lehoucq, Sorensen & Yang, SIAM 1998) on
-the iterated map itself, and verifies the convergence preconditions on the
-denoiser/operator pair, deciding those on the spectrum of W by one
-symmetric Lanczos solve on W or its symmetric similar form.
+This module holds the map, which checks its own parameters. It finds the
+eigenvalues of P that bound the rate with ARPACK (Lehoucq, Sorensen & Yang,
+SIAM 1998) on the iterated map itself, and verifies the convergence
+preconditions on the denoiser/operator pair, deciding those on the spectrum
+of W by one symmetric Lanczos solve on W or its symmetric similar form,
+with the tolerances ``*_TOL`` that the reports also print.
 """
 
 from __future__ import annotations
@@ -25,11 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
-    EigenEstimate, ForwardOp, arpack_eigenvalue, arpack_start, lambda_max_gram,
+    EigenEstimate, ForwardOp, arpack_eigenvalue, arpack_start, check_len, lambda_max_gram,
     solve_shifted_gram,
 )
 from .imgcore import gaussian_noise  # unused here: a binding the benchmark tracer wraps
 from .kernel_denoise import KernelDenoiser
+
+STOCHASTIC_TOL = 1e-10  # largest row-sum defect |W 1 - 1|
+SPECTRUM_TOL = 1e-8     # W's spectrum must lie in [-tol, 1 + tol]
+FIX_GAP_TOL = 1e-10     # W's second eigenvalue must lie at or below 1 - tol
 
 
 @dataclass
@@ -39,13 +44,19 @@ class IterationOperator:
     kinds, with data term d = A^T b (pnp kinds) or mu A^T b (red):
       pnp        -- P x + q = W (x - gamma (A^T A x - d))
       red        -- P x + q = (I + mu A^T A)^-1 (theta W x + (1 - theta) x + d)
-      scaled_pnp -- P x + q = W (x - gamma D^-1 (A^T A x - d))
+      scaled_pnp -- P x + q = W (x - gamma D^-1 (A^T A x - d)), nlm weights only
+
+    The constructor raises ValueError unless the sizes agree, the kind is
+    known, gamma >= 0 (pnp kinds; nan fails), mu > 0 and 0 <= theta <= 1.
 
     With dsg weights, and for the scaled kind, P is similar to a product of
     two symmetric matrices, so its spectrum is real; it lies in [0, 1] while
     W's does and, for the pnp kinds, gamma <= 1 / lambda_max of the (scaled)
-    Gram map. pnp and red with nlm weights lie outside the paper's theorem:
-    on blur P then has complex eigenvalues.
+    Gram map, for which 1 / lambda_max(A^T A) is a D-free lower bound, as
+    all degrees are >= 1. Above that, P can have an eigenvalue below -1/3,
+    and the iteration diverges; ``build_report`` rates it. pnp and red with
+    nlm weights lie outside the paper's theorem: on blur P then has complex
+    eigenvalues.
     """
 
     kind: str
@@ -54,7 +65,25 @@ class IterationOperator:
     gamma: float | None = None
     mu: float | None = None
     theta: float | None = None
-    _dinv: np.ndarray | None = field(default=None, repr=False)
+    _dinv: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.denoiser.n != self.op.n:
+            raise ValueError(f"denoiser size {self.denoiser.n} != operator size {self.op.n}")
+        if self.kind == "red":
+            if self.mu is None or not self.mu > 0:
+                raise ValueError("mu must be positive")
+            if self.theta is None or not 0 <= self.theta <= 1:
+                raise ValueError("theta must be in [0, 1]")
+        elif self.kind in ("pnp", "scaled_pnp"):
+            if self.gamma is None or not self.gamma >= 0:
+                raise ValueError("gamma must be a nonnegative step size")
+        else:
+            raise ValueError(f"unknown iteration kind: {self.kind!r}")
+        if self.kind == "scaled_pnp":
+            if self.denoiser.mode != "nlm":
+                raise ValueError("scaled iteration requires an nlm-mode denoiser")
+            self._dinv = 1.0 / self.denoiser.degrees
 
     @property
     def n(self) -> int:
@@ -62,9 +91,6 @@ class IterationOperator:
 
     def data_term(self, b: np.ndarray) -> np.ndarray:
         """The data term d of ``step`` for measurements b."""
-        b = np.asarray(b, dtype=np.float64).reshape(-1)
-        if b.size != self.op.m:
-            raise ValueError(f"measurement length {b.size} != {self.op.m}")
         atb = self.op.adjoint(b)
         return self.mu * atb if self.kind == "red" else atb
 
@@ -82,55 +108,7 @@ class IterationOperator:
         return solve_shifted_gram(self.op, self.mu, blended + data)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.size != self.n:
-            raise ValueError(f"length mismatch: expected {self.n}, got {x.size}")
-        return self.step(x, 0.0)
-
-
-def _check_pair(op: ForwardOp, denoiser: KernelDenoiser) -> None:
-    if denoiser.n != op.n:
-        raise ValueError(f"denoiser size {denoiser.n} != operator size {op.n}")
-
-
-def pnp_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
-    """The map may be built for any gamma >= 0 (gamma = 0 degenerates to W).
-    Above gamma = 1 / lambda_max(A^T A), P can have an eigenvalue below -1/3,
-    and the iteration then diverges; ``build_report`` rates that eigenvalue."""
-    _check_pair(op, denoiser)
-    if gamma is None or gamma < 0:
-        raise ValueError("gamma must be a nonnegative step size")
-    return IterationOperator(kind="pnp", op=op, denoiser=denoiser, gamma=gamma)
-
-
-def red_operator(
-    op: ForwardOp,
-    denoiser: KernelDenoiser,
-    mu: float,
-    theta: float,
-) -> IterationOperator:
-    _check_pair(op, denoiser)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not 0 <= theta <= 1:
-        raise ValueError("theta must be in [0, 1]")
-    return IterationOperator(kind="red", op=op, denoiser=denoiser, mu=mu, theta=theta)
-
-
-def scaled_operator(op: ForwardOp, denoiser: KernelDenoiser, gamma: float) -> IterationOperator:
-    """Requires nlm-mode weights: they carry the degree diagonal D and are
-    self-adjoint in the D-weighted geometry. The step size should satisfy
-    gamma < 1 / lambda_max(D^-1/2 A^T A D^-1/2); the unscaled bound
-    1 / lambda_max(A^T A) is a valid, D-free fallback since all degrees
-    are >= 1."""
-    _check_pair(op, denoiser)
-    if gamma is None or gamma < 0:
-        raise ValueError("gamma must be a nonnegative step size")
-    if denoiser.mode != "nlm":
-        raise ValueError("scaled iteration requires an nlm-mode denoiser")
-    return IterationOperator(
-        kind="scaled_pnp", op=op, denoiser=denoiser, gamma=gamma, _dinv=1.0 / denoiser.degrees
-    )
+        return self.step(check_len(x, self.n), 0.0)
 
 
 def spectral_radius(
@@ -203,14 +181,14 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
         ends = np.full(3, np.nan)  # NaN fails both comparisons below
     low, second, high = (float(v) for v in np.sort(ends))
     return AssumptionChecks(
-        stochastic_ok=defect <= 1e-10,
+        stochastic_ok=defect <= STOCHASTIC_TOL,
         stochastic_defect=defect,
         forward_ok=a_one > 1e-10 * np.sqrt(n),
         forward_one_norm=a_one,
-        spectrum_ok=low >= -1e-8 and high <= 1.0 + 1e-8,
+        spectrum_ok=low >= -SPECTRUM_TOL and high <= 1.0 + SPECTRUM_TOL,
         spectrum_low=low,
         spectrum_high=high,
-        fix_ok=second <= 1.0 - 1e-10,
+        fix_ok=second <= 1.0 - FIX_GAP_TOL,
         second_eigenvalue=second,
     )
 
@@ -230,7 +208,7 @@ class SpectralReport:
     certified: bool            # rho_accel < 1 and every solve converged
     assumptions: AssumptionChecks
     gamma_interval: tuple[float, float]
-    power_tol: float = 1e-10
+    power_tol: float
 
     def csv_row(self) -> str:
         return (
@@ -254,7 +232,7 @@ class SpectralReport:
             f"power_tol={self.power_tol!r}",
             f"check_stochastic={str(a.stochastic_ok).lower()}",
             f"check_stochastic_defect={a.stochastic_defect!r}",
-            "check_stochastic_tol=1e-10",
+            f"check_stochastic_tol={STOCHASTIC_TOL!r}",
             f"check_forward_one={str(a.forward_ok).lower()}",
             f"check_forward_one_norm={a.forward_one_norm!r}",
             # constant: the spectrum check runs at every n; the key and
@@ -263,10 +241,10 @@ class SpectralReport:
             f"check_spectrum={str(a.spectrum_ok).lower()}",
             f"check_spectrum_low={a.spectrum_low!r}",
             f"check_spectrum_high={a.spectrum_high!r}",
-            "check_spectrum_tol=1e-08",
+            f"check_spectrum_tol={SPECTRUM_TOL!r}",
             f"check_fix_simple={str(a.fix_ok).lower()}",
             f"second_eigenvalue={a.second_eigenvalue!r}",
-            "check_fix_gap_tol=1e-10",
+            f"check_fix_gap_tol={FIX_GAP_TOL!r}",
             "check_heuristic=false",
         ]
         return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ import pytest
 
 from pnpcert import (
     Image,
+    IterationOperator,
     KernelParams,
     MomentumSchedule,
     Rng,
@@ -33,12 +34,9 @@ from pnpcert import (
     make_superres,
     observe,
     pnp_fista,
-    pnp_operator,
     prox_quadratic,
     red_apg,
-    red_operator,
     save_pgm,
-    scaled_operator,
     scaled_pnp_fista,
     spectral_radius,
 )
@@ -75,7 +73,7 @@ def _inpaint32():
     truth = synthetic_image(32, 32)
     op = make_inpaint(32, 32, 0.3, Rng(100))
     b = observe(op, truth, 0.03, Rng(101))
-    den = build_denoiser(make_guide("inpaint", b, op), HAT, "dsg")
+    den = build_denoiser(make_guide(b, op), HAT, "dsg")
     return truth, op, b, den
 
 
@@ -118,10 +116,10 @@ def test_criterion_2():
     }
     for task, op in ops.items():
         b = observe(op, truth, 0.02, Rng(202))
-        den = build_denoiser(make_guide(task, b, op), HAT, "dsg")
+        den = build_denoiser(make_guide(b, op), HAT, "dsg")
         lam = lambda_max_gram(op).value
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-            it = pnp_operator(op, den, frac / lam)
+            it = IterationOperator("pnp", op, den, frac / lam)
             _, eig = dense_oracle(it.apply, op.n)
             re, im = np.real(eig), np.imag(eig)
             assert np.abs(im).max() <= 1e-8
@@ -129,7 +127,7 @@ def test_criterion_2():
             assert re.max() <= 1.0 - 1e-10
         for mu in (0.5, 1.0, 2.0):
             for theta in (0.25, 0.5, 1.0):
-                it = red_operator(op, den, mu=mu, theta=theta)
+                it = IterationOperator("red", op, den, mu=mu, theta=theta)
                 _, eig = dense_oracle(it.apply, op.n)
                 re, im = np.real(eig), np.imag(eig)
                 assert np.abs(im).max() <= 1e-8
@@ -142,9 +140,9 @@ def test_criterion_3():
     truth = synthetic_image(8, 8)
     op = make_inpaint(8, 8, 0.4, Rng(301))
     b = observe(op, truth, 0.02, Rng(302))
-    den = build_denoiser(make_guide("inpaint", b, op), KernelParams(1, 2, 0.1, "hat"), "dsg")
+    den = build_denoiser(make_guide(b, op), KernelParams(1, 2, 0.1, "hat"), "dsg")
     gamma = 0.9 / lambda_max_gram(op).value
-    it = pnp_operator(op, den, gamma)
+    it = IterationOperator("pnp", op, den, gamma)
     P, eig_p = dense_oracle(it.apply, op.n)
     eig_r = np.linalg.eigvals(momentum_companion(P))
     assert abs(np.abs(eig_r).max() - math.sqrt(np.max(np.real(eig_p)))) <= 1e-7
@@ -178,9 +176,9 @@ def _convergence_battery(b, solver, it, label):
 def test_criterion_4(inpaint32):
     truth, op, b, den = inpaint32
     gamma = 0.9 / lambda_max_gram(op).value
-    _convergence_battery(b, pnp_fista, pnp_operator(op, den, gamma), "pnp")
+    _convergence_battery(b, pnp_fista, IterationOperator("pnp", op, den, gamma), "pnp")
     # lambda = 1, L = 2: theta = 1/L, mu = theta / lambda
-    _convergence_battery(b, red_apg, red_operator(op, den, mu=0.5, theta=0.5), "red")
+    _convergence_battery(b, red_apg, IterationOperator("red", op, den, mu=0.5, theta=0.5), "red")
 
 
 @criterion(5, "scaled iteration with plain nlm weights")
@@ -188,9 +186,9 @@ def test_criterion_5():
     truth = synthetic_image(32, 32)
     op = make_blur(32, 32, gaussian_kernel(9, 2.0))
     b = observe(op, truth, 0.03, Rng(501))
-    den = build_denoiser(make_guide("deblur", b, op), HAT, "nlm")
+    den = build_denoiser(make_guide(b, op), HAT, "nlm")
     lam_d = lambda_max_gram(op, diag=den.degrees).value
-    it = scaled_operator(op, den, 0.9 / lam_d)
+    it = IterationOperator("scaled_pnp", op, den, 0.9 / lam_d)
     sched = MomentumSchedule("beck")
     a = scaled_pnp_fista(it, b, sched, np.zeros(op.n), max_iter=20000, stop_tol=1e-9)
     c = scaled_pnp_fista(it, b, sched, Rng(502).uniforms(op.n), max_iter=20000,
@@ -202,9 +200,9 @@ def test_criterion_5():
     truth16 = synthetic_image(16, 16)
     op16 = make_blur(16, 16, gaussian_kernel(9, 2.0))
     b16 = observe(op16, truth16, 0.03, Rng(503))
-    den16 = build_denoiser(make_guide("deblur", b16, op16), HAT, "nlm")
+    den16 = build_denoiser(make_guide(b16, op16), HAT, "nlm")
     gamma16 = 0.9 / lambda_max_gram(op16, diag=den16.degrees).value
-    it16 = scaled_operator(op16, den16, gamma16)
+    it16 = IterationOperator("scaled_pnp", op16, den16, gamma16)
     _, eig = dense_oracle(it16.apply, op16.n)
     re, im = np.real(eig), np.imag(eig)
     assert np.abs(im).max() <= 1e-8
@@ -303,9 +301,9 @@ def test_criterion_8():
     # ARPACK on the iterated map against the dense eigensolver at n = 256
     op16 = make_inpaint(16, 16, 0.3, Rng(804))
     b16 = observe(op16, synthetic_image(16, 16), 0.02, Rng(805))
-    den16 = build_denoiser(make_guide("inpaint", b16, op16), HAT, "dsg")
+    den16 = build_denoiser(make_guide(b16, op16), HAT, "dsg")
     gamma = 0.9 / lambda_max_gram(op16).value
-    it = pnp_operator(op16, den16, gamma)
+    it = IterationOperator("pnp", op16, den16, gamma)
     _, eig = dense_oracle(it.apply, op16.n)
     top = float(np.max(np.real(eig)))
     est = spectral_radius(it, tol=1e-13, max_iter=200000)
@@ -324,14 +322,14 @@ def test_criterion_9():
     op = make_blur(64, 64, gaussian_kernel(25, 1.6))
     b = observe(op, truth, 0.03, Rng(901))
     psnr_observed = psnr_vec(b, truth.data)
-    den = build_denoiser(make_guide("deblur", b, op), HAT, "dsg")
+    den = build_denoiser(make_guide(b, op), HAT, "dsg")
     gamma = 0.9 / lambda_max_gram(op).value
 
-    pnp = pnp_fista(pnp_operator(op, den, gamma), b, MomentumSchedule("beck"),
+    pnp = pnp_fista(IterationOperator("pnp", op, den, gamma), b, MomentumSchedule("beck"),
                     np.zeros(op.n), max_iter=300, stop_tol=1e-9)
     assert psnr_vec(pnp.final, truth.data) > psnr_observed
 
     # lambda = 1, L = 2: theta = 1/L, mu = theta / lambda
-    red = red_apg(red_operator(op, den, mu=0.5, theta=0.5), b, MomentumSchedule("beck"),
-                  np.zeros(op.n), max_iter=150, stop_tol=1e-9)
+    red = red_apg(IterationOperator("red", op, den, mu=0.5, theta=0.5), b,
+                  MomentumSchedule("beck"), np.zeros(op.n), max_iter=150, stop_tol=1e-9)
     assert psnr_vec(red.final, truth.data) > psnr_observed

@@ -163,6 +163,25 @@ class TestRun:
         lam = float(read_kv(tmp_path / "out" / "summary.txt")["lambda_hat"])
         assert lam == pytest.approx(superres_lambda_max(16, 5, 1.0, 2), rel=1e-12)
 
+    def test_superres_factor_one_runs_the_deblur_problem(self, tmp_path):
+        # sr_factor = 1 is blur without decimation: the deblur operator and guide
+        write_truth(tmp_path)
+        for task in ("deblur", "superres"):
+            cfg_path = write_config(tmp_path, task=task, sr_factor=1, out=tmp_path / task)
+            assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+            assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_OK
+        recon_deblur, recon_superres = (
+            (tmp_path / task / "recon.npy").read_bytes() for task in ("deblur", "superres"))
+        assert recon_deblur == recon_superres
+
+    def test_indivisible_superres_is_config_error(self, tmp_path, capsys):
+        write_truth(tmp_path, 32, 32)
+        cfg_path = write_config(tmp_path, task="superres", sr_factor=2, crop=25)
+        for argv in (["run"], ["certify", "--grid", "0.5"]):
+            assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
+            assert "25x25 not divisible by factor 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_inpaint_writes_mask(self, tmp_path):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint")

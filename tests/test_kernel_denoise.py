@@ -458,14 +458,14 @@ class TestMakeGuide:
         img = synthetic_image(8, 8)
         op = make_blur(8, 8, gaussian_kernel(3, 1.0))
         b = observe(op, img, 0.0, Rng(1))
-        guide = make_guide("deblur", b, op)
+        guide = make_guide(b, op)
         assert np.array_equal(guide.data, b)
 
     def test_inpaint_full_mask_is_median(self):
         img = synthetic_image(8, 8)
         op = make_inpaint(8, 8, 1.0, Rng(1))
         b = observe(op, img, 0.0, Rng(2))
-        guide = make_guide("inpaint", b, op)
+        guide = make_guide(b, op)
         expected = ndimage.median_filter(img.grid(), size=3, mode="reflect")
         assert np.array_equal(guide.grid(), expected)
 
@@ -473,16 +473,11 @@ class TestMakeGuide:
         img = Image(np.full(64, 0.6), 8, 8)
         op = make_superres(8, 8, gaussian_kernel(3, 1.0), 2)
         b = observe(op, img, 0.0, Rng(3))
-        guide = make_guide("superres", b, op)
+        guide = make_guide(b, op)
         assert guide.rows == 8 and guide.cols == 8
         assert np.allclose(guide.data, 0.6, atol=1e-12)
 
-    def test_task_mismatch(self):
+    def test_length_mismatch(self):
         op = make_blur(8, 8, gaussian_kernel(3, 1.0))
-        with pytest.raises(ValueError):
-            make_guide("inpaint", np.zeros(64), op)
-
-    def test_unknown_task(self):
-        op = make_blur(8, 8, gaussian_kernel(3, 1.0))
-        with pytest.raises(ValueError):
-            make_guide("sharpen", np.zeros(64), op)
+        with pytest.raises(ValueError, match="length mismatch"):
+            make_guide(np.zeros(63), op)

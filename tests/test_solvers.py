@@ -26,7 +26,7 @@ from pnpcert import (
 )
 from pnpcert.kernel_denoise import KernelDenoiser
 from pnpcert.solvers import DivergenceError, solve_shifted_gram
-from pnpcert.spectral import pnp_operator, red_operator, scaled_operator
+from pnpcert.spectral import IterationOperator
 
 from conftest import ORACLE_OPERATORS, dense_forward, fixed_point, offset, synthetic_image
 
@@ -44,7 +44,7 @@ def inpaint_problem(rows=16, cols=16, fraction=0.3, sigma=0.03, mode="dsg", seed
     guide_vec[op.mask] = b
     from pnpcert import make_guide
 
-    guide = make_guide("inpaint", b, op)
+    guide = make_guide(b, op)
     den = build_denoiser(guide, KernelParams(1, 3, 0.15), mode)
     return truth, op, b, den
 
@@ -175,7 +175,7 @@ class TestPnpFista:
         truth = synthetic_image(8, 8)
         op = make_inpaint(8, 8, 0.4, Rng(30))
         b = observe(op, truth, 0.0, Rng(31))
-        it = pnp_operator(op, identity_denoiser(op.n), 0.9)
+        it = IterationOperator("pnp", op, identity_denoiser(op.n), 0.9)
         trace = pnp_fista(it, b, MomentumSchedule("constant", c=0.0), np.zeros(op.n),
                           max_iter=500, stop_tol=1e-13)
         assert np.abs(trace.final[op.mask] - b).max() <= 1e-8
@@ -184,7 +184,7 @@ class TestPnpFista:
     def test_fixed_point_is_stationary(self):
         _, op, b, den = inpaint_problem()
         gamma = 0.9 / lambda_max_gram(op).value
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         x_star = fixed_point(it, offset(it, b), tol=1e-14)
         trace = pnp_fista(it, b, MomentumSchedule("beck"), x_star, max_iter=5)
         first_step = it.apply(x_star) + offset(it, b)
@@ -194,7 +194,7 @@ class TestPnpFista:
     def test_tail_rate_within_certified_bound(self):
         _, op, b, den = inpaint_problem()
         gamma = 0.9 / lambda_max_gram(op).value
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         from pnpcert.spectral import accelerated_radius, spectral_radius
 
         rho = spectral_radius(it, tol=1e-12)
@@ -209,14 +209,14 @@ class TestPnpFista:
 
     def test_non_accelerated_converges(self):
         _, op, b, den = inpaint_problem()
-        it = pnp_operator(op, den, 0.9 / lambda_max_gram(op).value)
+        it = IterationOperator("pnp", op, den, 0.9 / lambda_max_gram(op).value)
         trace = pnp_fista(it, b, MomentumSchedule("constant", c=0.0), np.zeros(op.n),
                           max_iter=20000, stop_tol=1e-10)
         assert trace.converged
 
     def test_divergence_guard(self):
         _, op, b, den = inpaint_problem()
-        it = pnp_operator(op, den, 2000.0)
+        it = IterationOperator("pnp", op, den, 2000.0)
         with pytest.raises(DivergenceError) as err:
             pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n), max_iter=2000)
         assert err.value.iteration >= 1
@@ -225,17 +225,17 @@ class TestPnpFista:
         # the map pnp_fista iterates cannot be built without a step size
         _, op, _, den = inpaint_problem()
         with pytest.raises(ValueError):
-            pnp_operator(op, den, None)
+            IterationOperator("pnp", op, den, None)
 
     def test_red_map_rejected(self):
         _, op, b, den = inpaint_problem()
-        it = red_operator(op, den, 0.5, 0.5)
+        it = IterationOperator("red", op, den, mu=0.5, theta=0.5)
         with pytest.raises(ValueError, match="red_apg"):
             pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n))
 
     def test_fixed_point_consistency_after_stop(self):
         _, op, b, den = inpaint_problem()
-        it = pnp_operator(op, den, 0.9 / lambda_max_gram(op).value)
+        it = IterationOperator("pnp", op, den, 0.9 / lambda_max_gram(op).value)
         stop_tol = 1e-9
         trace = pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n),
                           max_iter=20000, stop_tol=stop_tol)
@@ -250,11 +250,11 @@ class TestPnpFista:
         params = KernelParams(1, 3, 0.15)
         from pnpcert import make_guide
 
-        guide = make_guide("inpaint", b, op)
+        guide = make_guide(b, op)
         den = build_denoiser(guide, params, "dsg")
-        rebuild = lambda x: pnp_operator(op, build_denoiser(Image(x, 16, 16), params, "dsg"),
-                                         0.5)
-        trace = pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+        rebuild = lambda x: IterationOperator(
+            "pnp", op, build_denoiser(Image(x, 16, 16), params, "dsg"), 0.5)
+        trace = pnp_fista(IterationOperator("pnp", op, den, 0.5), b, MomentumSchedule("beck"),
                           np.zeros(op.n), max_iter=50, rebuild=rebuild, warmup_iters=3)
         assert np.all(np.isfinite(trace.final))
 
@@ -262,7 +262,7 @@ class TestPnpFista:
         # warm-up iterations need a ``rebuild`` that returns the next map
         _, op, b, den = inpaint_problem()
         with pytest.raises(ValueError):
-            pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+            pnp_fista(IterationOperator("pnp", op, den, 0.5), b, MomentumSchedule("beck"),
                       np.zeros(op.n), warmup_iters=2)
 
 
@@ -272,7 +272,7 @@ class TestRedApg:
 
     def test_fixed_point_is_stationary(self):
         _, op, b, den = inpaint_problem()
-        it = red_operator(op, den, self.MU, self.THETA)
+        it = IterationOperator("red", op, den, mu=self.MU, theta=self.THETA)
         x_star = fixed_point(it, offset(it, b), tol=1e-14)
         # the stationary pre-image of x*: v* = theta W x* + (1 - theta) x*
         w_xstar = den.weights @ x_star
@@ -284,7 +284,7 @@ class TestRedApg:
     def test_theta_one_blends_to_pure_denoise(self):
         _, op, b, den = inpaint_problem()
         mu = 1.0  # L = 1, lambda = 1
-        it = red_operator(op, den, mu, 1.0)
+        it = IterationOperator("red", op, den, mu=mu, theta=1.0)
         v0 = gaussian_noise(Rng(40), op.n, 1.0)
         trace = red_apg(it, b, MomentumSchedule("beck"), v0, max_iter=3)
         # replicate the three iterations manually with theta = 1
@@ -302,7 +302,7 @@ class TestRedApg:
 
     def test_initialization_independence(self):
         _, op, b, den = inpaint_problem()
-        it = red_operator(op, den, self.MU, self.THETA)
+        it = IterationOperator("red", op, den, mu=self.MU, theta=self.THETA)
         sched = MomentumSchedule("beck")
         t0 = red_apg(it, b, sched, np.zeros(op.n), max_iter=20000, stop_tol=1e-10)
         t1 = red_apg(it, b, sched, Rng(9).uniforms(op.n), max_iter=20000, stop_tol=1e-10)
@@ -311,7 +311,7 @@ class TestRedApg:
 
     def test_trace_has_psnr_when_truth_given(self):
         truth, op, b, den = inpaint_problem()
-        it = red_operator(op, den, self.MU, self.THETA)
+        it = IterationOperator("red", op, den, mu=self.MU, theta=self.THETA)
         trace = red_apg(it, b, MomentumSchedule("beck"), np.zeros(op.n), max_iter=20,
                         truth=truth.data)
         assert trace.psnr is not None and len(trace.psnr) == trace.iterations
@@ -319,7 +319,8 @@ class TestRedApg:
     def test_pnp_map_rejected(self):
         _, op, b, den = inpaint_problem()
         with pytest.raises(ValueError, match="red map"):
-            red_apg(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"), np.zeros(op.n))
+            red_apg(IterationOperator("pnp", op, den, 0.5), b, MomentumSchedule("beck"),
+                    np.zeros(op.n))
 
 
 class TestScaledPnpFista:
@@ -333,16 +334,16 @@ class TestScaledPnpFista:
         # synthetic nlm-mode denoiser with the same weights and unit degrees
         den_unit = KernelDenoiser(bands=den_dsg.bands, degrees=np.ones(op.n), mode="nlm")
         sched = MomentumSchedule("beck")
-        a = pnp_fista(pnp_operator(op, den_dsg, 0.7), b, sched, np.zeros(op.n),
+        a = pnp_fista(IterationOperator("pnp", op, den_dsg, 0.7), b, sched, np.zeros(op.n),
                       max_iter=60, stop_tol=0.0)
-        c = scaled_pnp_fista(scaled_operator(op, den_unit, 0.7), b, sched, np.zeros(op.n),
-                             max_iter=60, stop_tol=0.0)
+        c = scaled_pnp_fista(IterationOperator("scaled_pnp", op, den_unit, 0.7), b, sched,
+                             np.zeros(op.n), max_iter=60, stop_tol=0.0)
         assert np.abs(a.final - c.final).max() <= 1e-12
 
     def test_fixed_point_is_stationary(self):
         _, op, b, den = inpaint_problem(mode="nlm")
         gamma = 0.9 / lambda_max_gram(op, diag=den.degrees).value
-        it = scaled_operator(op, den, gamma)
+        it = IterationOperator("scaled_pnp", op, den, gamma)
         x_star = fixed_point(it, offset(it, b), tol=1e-14)
         trace = scaled_pnp_fista(it, b, MomentumSchedule("beck"), x_star, max_iter=5)
         assert np.linalg.norm(trace.final - x_star) <= 1e-9
@@ -351,11 +352,12 @@ class TestScaledPnpFista:
         # the scaled map, which carries the degree diagonal, needs nlm weights
         _, op, _, den = inpaint_problem(mode="dsg")
         with pytest.raises(ValueError):
-            scaled_operator(op, den, 0.5)
+            IterationOperator("scaled_pnp", op, den, 0.5)
 
     def test_two_initializations_same_limit(self):
         _, op, b, den = inpaint_problem(mode="nlm")
-        it = scaled_operator(op, den, 0.9 / lambda_max_gram(op, diag=den.degrees).value)
+        gamma = 0.9 / lambda_max_gram(op, diag=den.degrees).value
+        it = IterationOperator("scaled_pnp", op, den, gamma)
         sched = MomentumSchedule("beck")
         t0 = scaled_pnp_fista(it, b, sched, np.zeros(op.n), max_iter=20000, stop_tol=1e-10)
         t1 = scaled_pnp_fista(it, b, sched, Rng(52).uniforms(op.n), max_iter=20000,
@@ -367,7 +369,7 @@ class TestTraceCsv:
     def test_full_columns(self, tmp_path):
         truth, op, b, den = inpaint_problem()
         ref = np.zeros(op.n)
-        trace = pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+        trace = pnp_fista(IterationOperator("pnp", op, den, 0.5), b, MomentumSchedule("beck"),
                           np.zeros(op.n), max_iter=5, truth=truth.data, x_ref=ref)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
@@ -381,7 +383,7 @@ class TestTraceCsv:
 
     def test_missing_columns_empty(self, tmp_path):
         _, op, b, den = inpaint_problem()
-        trace = pnp_fista(pnp_operator(op, den, 0.5), b, MomentumSchedule("beck"),
+        trace = pnp_fista(IterationOperator("pnp", op, den, 0.5), b, MomentumSchedule("beck"),
                           np.zeros(op.n), max_iter=3)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
@@ -395,7 +397,7 @@ def test_step_map_is_affine(seed):
     # the frozen one-step update: Step(x) - Step(y) is linear in x - y
     _, op, b, den = inpaint_problem()
     gamma = 0.45
-    it = pnp_operator(op, den, gamma)
+    it = IterationOperator("pnp", op, den, gamma)
     q = offset(it, b)
     rng = Rng(seed)
     x = gaussian_noise(rng, op.n, 1.0)
@@ -413,13 +415,13 @@ def test_matches_hand_rolled_recurrence(kind):
     x0 = Rng(53).uniforms(op.n)
     max_iter = 25
     if kind == "red":
-        it = red_operator(op, den, 0.5, 0.5)
+        it = IterationOperator("red", op, den, mu=0.5, theta=0.5)
         trace = red_apg(it, b, sched, x0, max_iter=max_iter, stop_tol=0.0)
         x = x_prev = prox_quadratic(op, b, it.mu, x0)
     else:
-        make, solve = {"pnp": (pnp_operator, pnp_fista),
-                       "scaled": (scaled_operator, scaled_pnp_fista)}[kind]
-        it = make(op, den, 0.45)
+        map_kind, solve = {"pnp": ("pnp", pnp_fista),
+                           "scaled": ("scaled_pnp", scaled_pnp_fista)}[kind]
+        it = IterationOperator(map_kind, op, den, 0.45)
         trace = solve(it, b, sched, x0, max_iter=max_iter, stop_tol=0.0)
         x_prev, x = x0, it.apply(x0) + offset(it, b)
     q = offset(it, b)

@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpcert import (
+    IterationOperator,
     KernelParams,
     Rng,
     accelerated_radius,
@@ -17,9 +22,6 @@ from pnpcert import (
     make_inpaint,
     make_superres,
     observe,
-    pnp_operator,
-    red_operator,
-    scaled_operator,
     spectral_radius,
 )
 from pnpcert.kernel_denoise import KernelDenoiser
@@ -50,7 +52,7 @@ def dense_gram(op):
 class TestApplyP:
     def test_gamma_zero_is_denoiser(self):
         op, _, den = small_problem()
-        it = pnp_operator(op, den, 0.0)
+        it = IterationOperator("pnp", op, den, 0.0)
         x = gaussian_noise(Rng(1), op.n, 1.0)
         assert np.array_equal(it.apply(x), apply_w(den, x))
 
@@ -59,14 +61,14 @@ class TestApplyP:
         op = make_inpaint(rows, cols, 1.0, Rng(2))
         den = build_denoiser(synthetic_image(rows, cols), KernelParams(1, 2, 0.1), "dsg")
         mu = 0.8
-        it = red_operator(op, den, mu=mu, theta=0.0)
+        it = IterationOperator("red", op, den, mu=mu, theta=0.0)
         ones = np.ones(op.n)
         assert np.abs(it.apply(ones) - 1.0 / (1.0 + mu)).max() <= 1e-12
 
     def test_columns_assemble_dense_product(self):
         op, _, den = small_problem()
         gamma = 0.6
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         assembled = materialize(it.apply, op.n)
         W = den.weights.toarray()
         expected = W @ (np.eye(op.n) - gamma * dense_gram(op))
@@ -74,14 +76,20 @@ class TestApplyP:
 
     def test_length_mismatch(self):
         op, _, den = small_problem()
-        it = pnp_operator(op, den, 0.5)
+        it = IterationOperator("pnp", op, den, 0.5)
         with pytest.raises(ValueError):
             it.apply(np.zeros(op.n + 1))
+
+    def test_data_term_length_mismatch(self):
+        op, _, den = small_problem()
+        it = IterationOperator("pnp", op, den, 0.5)
+        with pytest.raises(ValueError, match="length mismatch"):
+            it.data_term(np.zeros(op.m + 1))
 
     def test_scaled_apply_matches_definition(self):
         op, _, den = small_problem(mode="nlm")
         gamma = 0.4
-        it = scaled_operator(op, den, gamma)
+        it = IterationOperator("scaled_pnp", op, den, gamma)
         x = gaussian_noise(Rng(3), op.n, 1.0)
         dinv = 1.0 / den.degrees
         expected = den.weights @ (x - gamma * (dinv * op.gram(x)))
@@ -92,7 +100,7 @@ class TestApplyP:
         # q = gamma W A^T b for pnp and gamma W D^-1 A^T b for the scaled map
         op, b, den = small_problem(mode=mode)
         gamma = 0.4
-        it = (pnp_operator if mode == "dsg" else scaled_operator)(op, den, gamma)
+        it = IterationOperator("pnp" if mode == "dsg" else "scaled_pnp", op, den, gamma)
         scale = np.ones(op.n) if mode == "dsg" else 1.0 / den.degrees
         expected = gamma * (den.weights @ (scale * op.adjoint(b)))
         assert np.abs(offset(it, b) - expected).max() <= 1e-14
@@ -100,15 +108,73 @@ class TestApplyP:
     def test_red_offset_solves_regularized_system(self):
         op, b, den = small_problem()
         mu = 0.5
-        it = red_operator(op, den, mu=mu, theta=0.5)
+        it = IterationOperator("red", op, den, mu=mu, theta=0.5)
         r = offset(it, b)
         assert np.abs(r + mu * op.gram(r) - mu * op.adjoint(b)).max() <= 1e-10
+
+
+class TestConstructor:
+    """``IterationOperator`` checks the parameters its kind reads."""
+
+    @pytest.mark.parametrize("kind", ["pnp", "scaled_pnp"])
+    def test_nan_gamma_rejected(self, kind):
+        op, _, den = small_problem(mode="nlm")
+        with pytest.raises(ValueError, match="gamma"):
+            IterationOperator(kind, op, den, gamma=np.nan)
+
+    def test_nan_mu_rejected(self):
+        op, _, den = small_problem()
+        with pytest.raises(ValueError, match="mu"):
+            IterationOperator("red", op, den, mu=np.nan, theta=0.5)
+
+    def test_unknown_kind_rejected(self):
+        op, _, den = small_problem()
+        with pytest.raises(ValueError, match="kind"):
+            IterationOperator("sharpen", op, den, gamma=0.5, mu=0.5, theta=0.5)
+
+    def test_size_mismatch_rejected(self):
+        op, _, den = small_problem()
+        small_op = make_inpaint(6, 6, 0.3, Rng(0))
+        with pytest.raises(ValueError, match="size"):
+            IterationOperator("pnp", small_op, den, 0.5)
+
+    def test_dinv_is_not_an_init_field(self):
+        assert "_dinv" not in {f.name for f in fields(IterationOperator) if f.init}
+        op, _, den = small_problem(mode="nlm")
+        with pytest.raises(TypeError):
+            IterationOperator("scaled_pnp", op, den, 0.5, _dinv=np.ones(op.n))
+        assert np.array_equal(IterationOperator("scaled_pnp", op, den, 0.5)._dinv,
+                              1.0 / den.degrees)
+        assert IterationOperator("pnp", op, den, 0.5)._dinv is None
+
+    @given(value=st.none() | st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=60, deadline=None)
+    def test_accepts_exactly_the_valid_values(self, value):
+        # gamma >= 0 (pnp kinds), mu > 0 and 0 <= theta <= 1 (red); None and nan fail
+        op, _, den = small_problem(mode="nlm")
+        cases = [
+            (lambda: IterationOperator("pnp", op, den, gamma=value), ">= 0"),
+            (lambda: IterationOperator("scaled_pnp", op, den, gamma=value), ">= 0"),
+            (lambda: IterationOperator("red", op, den, mu=value, theta=0.5), "> 0"),
+            (lambda: IterationOperator("red", op, den, mu=0.5, theta=value), "in [0, 1]"),
+        ]
+        valid = {
+            ">= 0": value is not None and value >= 0,
+            "> 0": value is not None and value > 0,
+            "in [0, 1]": value is not None and 0 <= value <= 1,
+        }
+        for build, rule in cases:
+            if valid[rule]:
+                build()
+            else:
+                with pytest.raises(ValueError):
+                    build()
 
 
 class TestSpectralRadius:
     def test_denoiser_alone_has_radius_one(self):
         op, _, den = small_problem()
-        it = pnp_operator(op, den, 0.0)
+        it = IterationOperator("pnp", op, den, 0.0)
         est = spectral_radius(it, tol=1e-12)
         assert est.converged
         assert est.value == pytest.approx(1.0, abs=1e-9)
@@ -116,7 +182,7 @@ class TestSpectralRadius:
     def test_matches_dense_oracle_inpaint(self):
         op, _, den = small_problem()
         gamma = 0.9 / lambda_max_gram(op).value
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         _, eig = dense_oracle(it.apply, op.n)
         top = float(np.max(np.real(eig)))
         est = spectral_radius(it, tol=1e-13)
@@ -125,7 +191,7 @@ class TestSpectralRadius:
     def test_scaled_matches_symmetrized_dense(self):
         op, _, den = small_problem(mode="nlm")
         gamma = 0.8 / lambda_max_gram(op, diag=den.degrees).value
-        it = scaled_operator(op, den, gamma)
+        it = IterationOperator("scaled_pnp", op, den, gamma)
         # oracle: dense product of the symmetrized weights and scaled gram
         K = build_kernel(synthetic_image(8, 8), KernelParams(1, 2, 0.15, "hat"))
         Ws = reference_symmetric(K, den.degrees).toarray()
@@ -141,14 +207,14 @@ class TestSpectralRadius:
     def test_red_matches_dense(self):
         op, _, den = small_problem()
         mu, theta = 0.5, 0.5
-        it = red_operator(op, den, mu=mu, theta=theta)
+        it = IterationOperator("red", op, den, mu=mu, theta=theta)
         _, eig = dense_oracle(it.apply, op.n)
         est = spectral_radius(it, tol=1e-13)
         assert est.value == pytest.approx(float(np.max(np.real(eig))), abs=1e-8)
 
     def test_unconverged_flagged(self):
         op, _, den = small_problem()
-        it = pnp_operator(op, den, 0.7)
+        it = IterationOperator("pnp", op, den, 0.7)
         est = spectral_radius(it, tol=1e-16, max_iter=2)
         assert not est.converged
 
@@ -156,14 +222,14 @@ class TestSpectralRadius:
                                                (1e-8, 0), (1e-8, -1)])
     def test_invalid_arguments_rejected(self, tol, max_iter):
         op, _, den = small_problem()
-        it = pnp_operator(op, den, 0.7)
+        it = IterationOperator("pnp", op, den, 0.7)
         with pytest.raises(ValueError):
             spectral_radius(it, tol=tol, max_iter=max_iter)
 
     def test_power_vs_dense_at_n256(self):
         op, _, den = small_problem(rows=16, cols=16)
         gamma = 0.9 / lambda_max_gram(op).value
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         _, eig = dense_oracle(it.apply, op.n)
         top = float(np.max(np.real(eig)))
         est = spectral_radius(it, tol=1e-13, max_iter=200000)
@@ -193,7 +259,7 @@ class TestAcceleratedRadius:
     def test_companion_eigenvalues_match_sqrt_relation(self):
         op, _, den = small_problem()
         gamma = 0.9 / lambda_max_gram(op).value
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         P, eig_p = dense_oracle(it.apply, op.n)
         R = momentum_companion(P)
         eig_r = np.linalg.eigvals(R)
@@ -214,12 +280,12 @@ class TestCompanionOracle:
             "superres": lambda: make_superres(16, 16, taps, 2),
         }[task]()
         b = observe(op, truth, 0.02, Rng(42))
-        den = build_denoiser(make_guide(task, b, op), KernelParams(1, 2, 0.15, "hat"), "dsg")
+        den = build_denoiser(make_guide(b, op), KernelParams(1, 2, 0.15, "hat"), "dsg")
         checks = check_assumption(den, op)
         assert checks.spectrum_ok
         lam = lambda_max_gram(op).value
         for frac in (0.5, 0.9, 1.2, 1.5, 1.9):
-            it = pnp_operator(op, den, frac / lam)
+            it = IterationOperator("pnp", op, den, frac / lam)
             report = build_report(task, it, frac, lam, checks, power_tol=1e-12)
             R = momentum_companion(materialize(it.apply, op.n))
             radius = float(np.abs(np.linalg.eigvals(R)).max())
@@ -230,13 +296,13 @@ class TestCompanionOracle:
 class TestFixedPoint:
     def test_zero_offset(self):
         op, _, den = small_problem()
-        it = pnp_operator(op, den, 0.5)
+        it = IterationOperator("pnp", op, den, 0.5)
         assert np.array_equal(fixed_point(it, np.zeros(op.n)), np.zeros(op.n))
 
     def test_matches_dense_solve(self):
         op, b, den = small_problem()
         gamma = 0.9 / lambda_max_gram(op).value
-        it = pnp_operator(op, den, gamma)
+        it = IterationOperator("pnp", op, den, gamma)
         q = offset(it, b)
         x = fixed_point(it, q, tol=1e-14)
         P = materialize(it.apply, op.n)
@@ -245,7 +311,7 @@ class TestFixedPoint:
 
     def test_red_fixed_point_dense(self):
         op, b, den = small_problem()
-        it = red_operator(op, den, mu=0.5, theta=0.5)
+        it = IterationOperator("red", op, den, mu=0.5, theta=0.5)
         r = offset(it, b)
         x = fixed_point(it, r, tol=1e-13)
         P = materialize(it.apply, op.n)
@@ -378,7 +444,7 @@ class TestSpectrumInContractiveInterval:
         bound = 1.0 / lambda_max_gram(op).value
         for _ in range(7):
             gamma = (0.02 + 0.96 * rng.uniform()) * bound
-            it = pnp_operator(op, den, gamma)
+            it = IterationOperator("pnp", op, den, gamma)
             _, eig = dense_oracle(it.apply, op.n)
             re, im = np.real(eig), np.imag(eig)
             assert np.abs(im).max() <= 1e-8
@@ -389,7 +455,7 @@ class TestSpectrumInContractiveInterval:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_red_spectrum(self, mu, theta):
         op, _, den = small_problem()
-        it = red_operator(op, den, mu=mu, theta=theta)
+        it = IterationOperator("red", op, den, mu=mu, theta=theta)
         _, eig = dense_oracle(it.apply, op.n)
         re, im = np.real(eig), np.imag(eig)
         assert np.abs(im).max() <= 1e-8
@@ -401,7 +467,7 @@ class TestReport:
     def test_build_and_serialize(self):
         op, _, den = small_problem()
         lam_hat = lambda_max_gram(op).value
-        it = pnp_operator(op, den, 0.9 / lam_hat)
+        it = IterationOperator("pnp", op, den, 0.9 / lam_hat)
         checks = check_assumption(den, op)
         report = build_report("inpaint", it, 0.9, lam_hat, checks, power_tol=1e-10)
         assert report.assumptions is checks
@@ -417,7 +483,7 @@ class TestReport:
     def test_unconverged_eigensolve_is_not_certified(self):
         op, _, den = small_problem()
         lam_hat = lambda_max_gram(op).value
-        it = pnp_operator(op, den, 0.9 / lam_hat)
+        it = IterationOperator("pnp", op, den, 0.9 / lam_hat)
         report = build_report("inpaint", it, 0.9, lam_hat, check_assumption(den, op),
                               power_tol=1e-16, power_max_iter=1)
         assert not report.rho_step.converged and not report.certified
