@@ -326,14 +326,14 @@ def cmd_run(args) -> int:
     ]
     if min(prob.truth.rows, prob.truth.cols) >= 11:
         pairs.append(("ssim_recon", _fmt(ssim(recon, prob.truth))))
-    if cfg.task == "inpaint":
+    if prob.op.kind == "inpaint":
         fwdops.save_mask_pgm(prob.op, out / "mask.pgm")
     else:
         r = prob.op.rows_in // prob.op.factor
         c = prob.op.cols_in // prob.op.factor
         observed_img = Image(prob.observed, r, c)
         save_pgm(observed_img, out / "observed.pgm")
-        if cfg.task == "deblur":
+        if prob.op.kind == "blur":
             pairs.append(("psnr_observed", _fmt(psnr(observed_img, prob.truth))))
     _write_summary(out / "summary.txt", pairs)
     print(f"wrote {out}/recon.pgm, trace.csv, summary.txt")

@@ -19,6 +19,7 @@ Woodbury identity (Zhao et al., IEEE TIP 2016).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,14 @@ class ForwardOp:
         return self._convolve(g, transpose=True).reshape(-1)
 
     def gram(self, x: np.ndarray) -> np.ndarray:
-        """A^T A x, composed from apply and adjoint (never rediscretized)."""
+        """A^T A x, composed from apply and adjoint (never rediscretized).
+
+        For inpainting it is x with the unobserved pixels set to +0.0, which
+        is bitwise ``adjoint(apply(x))`` (signed zeros and nan included)
+        without the gather and the scatter.
+        """
+        if self.kind == "inpaint":
+            return np.where(self.mask, check_len(x, self.n), 0.0)
         return self.adjoint(self.apply(x))
 
 
@@ -137,6 +145,16 @@ def check_len(v: np.ndarray, n: int) -> np.ndarray:
     if v.size != n:
         raise ValueError(f"length mismatch: expected {n}, got {v.size}")
     return v
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a flat vector, summed by numpy's own einsum loop.
+
+    numpy's linear-algebra norm calls BLAS ``ddot``, whose result changes in
+    its last bits with the BLAS thread count, and whose threads compete with
+    the band product for the cores; this sum runs on the calling thread.
+    """
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 def _wrap_kernel(rows: int, cols: int, kernel: np.ndarray) -> np.ndarray:

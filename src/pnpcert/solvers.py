@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fwdops import ForwardOp, check_len, solve_shifted_gram
+from .fwdops import ForwardOp, check_len, l2_norm, solve_shifted_gram
 from .imgcore import psnr_vec
 from .spectral import IterationOperator
 
@@ -146,9 +146,9 @@ class _TraceBuilder:
     def record(self, k, a, x, dx):
         self.k.append(k)
         self.alpha.append(a)
-        self.step.append(float(np.linalg.norm(dx)))
+        self.step.append(l2_norm(dx))
         if self.dist is not None:
-            self.dist.append(float(np.linalg.norm(x - self.x_ref)))
+            self.dist.append(l2_norm(x - self.x_ref))
         if self.psnr is not None:
             self.psnr.append(psnr_vec(x, self.truth))
 
@@ -186,7 +186,7 @@ def prox_quadratic(
 def _guard_iterate(x: np.ndarray, k: int, bound: float) -> float:
     if not np.all(np.isfinite(x)):
         raise DivergenceError(k, "non-finite iterate")
-    if (norm := np.linalg.norm(x)) > bound:
+    if (norm := l2_norm(x)) > bound:
         raise DivergenceError(k, "iterate norm exceeded the divergence guard")
     return norm  # the stop test reuses it
 
@@ -218,7 +218,7 @@ def _accelerate(
     """
     if warmup_iters > 0 and rebuild is None:
         raise ValueError("guide warm-up requires a rebuild of the map")
-    guard = 1e8 * (1.0 + np.linalg.norm(x0))
+    guard = 1e8 * (1.0 + l2_norm(x0))
     tracer = _TraceBuilder(truth, x_ref)
     x_prev = y = x0 if x1 is None else x1
     converged = False

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
-    EigenEstimate, ForwardOp, arpack_eigenvalue, arpack_start, check_len, lambda_max_gram,
-    solve_shifted_gram,
+    EigenEstimate, ForwardOp, arpack_eigenvalue, arpack_start, check_len, l2_norm,
+    lambda_max_gram, solve_shifted_gram,
 )
 from .imgcore import gaussian_noise  # unused here: a binding the benchmark tracer wraps
-from .kernel_denoise import KernelDenoiser
+from .kernel_denoise import KernelDenoiser, band_product
 
 STOCHASTIC_TOL = 1e-10  # largest row-sum defect |W 1 - 1|
 SPECTRUM_TOL = 1e-8     # W's spectrum must lie in [-tol, 1 + tol]
@@ -101,10 +101,10 @@ class IterationOperator:
         """
         W = self.denoiser.bands
         if self.kind == "pnp":
-            return W @ (x - self.gamma * (self.op.gram(x) - data))
+            return band_product(W, x - self.gamma * (self.op.gram(x) - data))
         if self.kind == "scaled_pnp":
-            return W @ (x - self.gamma * (self._dinv * (self.op.gram(x) - data)))
-        blended = self.theta * (W @ x) + (1.0 - self.theta) * x
+            return band_product(W, x - self.gamma * (self._dinv * (self.op.gram(x) - data)))
+        blended = self.theta * band_product(W, x) + (1.0 - self.theta) * x
         return solve_shifted_gram(self.op, self.mu, blended + data)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -169,11 +169,12 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     n = denoiser.n
     W = denoiser.bands
     ones = np.ones(n)
-    defect = float(np.abs(W @ ones - ones).max())
-    a_one = float(np.linalg.norm(op.apply(ones)))
+    defect = float(np.abs(band_product(W, ones) - ones).max())
+    a_one = l2_norm(op.apply(ones))
     s = np.sqrt(denoiser.degrees)
-    sym = W if denoiser.mode == "dsg" else LinearOperator(
-        (n, n), matvec=lambda x: s * (W @ (x / s)), dtype=np.float64)
+    sym = LinearOperator((n, n), dtype=np.float64, matvec=(
+        (lambda x: band_product(W, x)) if denoiser.mode == "dsg"
+        else lambda x: s * band_product(W, x / s)))
     v0 = arpack_start(n)
     try:
         ends = eigsh(sym, k=3, which="BE", v0=v0, tol=1e-12, return_eigenvectors=False)

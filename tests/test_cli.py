@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,35 @@ class TestRun:
         recon_deblur, recon_superres = (
             (tmp_path / task / "recon.npy").read_bytes() for task in ("deblur", "superres"))
         assert recon_deblur == recon_superres
+
+    def test_superres_factor_one_summary_is_the_deblur_summary(self, tmp_path):
+        # the operator kind, not the task name, decides which observed-image lines appear
+        write_truth(tmp_path)
+        summaries = {}
+        for task in ("deblur", "superres"):
+            cfg_path = write_config(tmp_path, task=task, sr_factor=1, out=tmp_path / task)
+            assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+            summaries[task] = read_kv(tmp_path / task / "summary.txt")
+            assert (tmp_path / task / "observed.pgm").exists()
+        assert "psnr_observed" in summaries["superres"]
+        assert summaries["superres"].pop("task") == "superres"
+        assert summaries["deblur"].pop("task") == "deblur"
+        assert summaries["superres"] == summaries["deblur"]
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # n = 12544 puts OpenBLAS's dot product on two threads, and the 12 MB
+        # band set puts W's product on two threads as well
+        write_truth(tmp_path, 112, 112)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for threads in ("1", "2"):
+            cfg_path = write_config(tmp_path, task="inpaint", patch_radius=2, window_radius=5,
+                                    max_iter=5, stop_tol=0.0, out=tmp_path / threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "pnpcert", "run", "--config", str(cfg_path)],
+                           env=env, check=True, capture_output=True)
+        for name in ("trace.csv", "summary.txt", "recon.npy"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_indivisible_superres_is_config_error(self, tmp_path, capsys):
         write_truth(tmp_path, 32, 32)

@@ -64,6 +64,15 @@ class TestInpaint:
         x = gaussian_noise(Rng(3), 36, 1.0)
         assert np.allclose(op.gram(x), x * op.mask, atol=0, rtol=0)
 
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, np.nan, -np.inf]),
+                              st.floats(allow_nan=True)), min_size=35, max_size=35),
+           st.integers(0, 2**31))
+    @settings(max_examples=50, deadline=None)
+    def test_gram_is_bitwise_adjoint_of_apply(self, values, seed):
+        op = make_inpaint(5, 7, 0.4, Rng(seed))
+        x = np.array(values)
+        assert op.gram(x).tobytes() == op.adjoint(op.apply(x)).tobytes()
+
 
 class TestBlur:
     def test_single_tap_identity(self):

@@ -1,4 +1,6 @@
 import gc
+import os
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -26,7 +28,9 @@ from pnpcert import (
     observe,
     psnr,
 )
-from pnpcert.kernel_denoise import _window_value
+from pnpcert import kernel_denoise
+from pnpcert.kernel_denoise import _window_value, band_product
+from scipy.sparse._sparsetools import dia_matvec
 
 from conftest import (
     reference_dsg,
@@ -451,6 +455,89 @@ class TestApplyW:
         assert np.array_equal(apply_w(den, x), den.weights @ x)
         K = build_kernel(guide, KernelParams(1, window_radius, 0.1, "hat"))
         assert np.array_equal(K @ x, K.tocsr() @ x)
+
+
+def split_denoiser(rows, cols, mode):
+    """A denoiser whose 121 bands hold more than SPLIT_BYTES."""
+    den = build_denoiser(synthetic_image(rows, cols), KernelParams(2, 5, 0.1, "hat"), mode)
+    assert den.bands.data.nbytes >= kernel_denoise.SPLIT_BYTES
+    return den
+
+
+def count_half_products(monkeypatch) -> list:
+    calls = []
+
+    def counted(n_row, *args):
+        calls.append((n_row, threading.get_ident()))
+        return dia_matvec(n_row, *args)
+
+    monkeypatch.setattr(kernel_denoise, "dia_matvec", counted)
+    return calls
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the split needs two CPUs")
+class TestBandProduct:
+    @pytest.mark.parametrize("shape", [(96, 96), (97, 96)])  # even and odd n
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_split_is_bitwise_the_full_product(self, shape, mode, monkeypatch):
+        den = split_denoiser(*shape, mode)
+        W, n = den.bands, den.n
+        halves = count_half_products(monkeypatch)
+        for seed in range(10):
+            x = gaussian_noise(Rng(seed), n, 1.0)
+            assert np.array_equal(band_product(W, x), W @ x)
+        rows = sorted(r for r, _ in halves)  # the worker's half may come first
+        assert rows == sorted([n // 2, n - n // 2] * 10)
+        # a worker that starts late leaves its half to the caller, but not ten times running
+        assert any(thread != threading.get_ident() for _, thread in halves)
+        # the builds' own products (degrees, dsg's row sums) split too
+        monkeypatch.setattr(kernel_denoise, "SPLIT_BYTES", np.inf)
+        serial = build_denoiser(synthetic_image(*shape), KernelParams(2, 5, 0.1, "hat"), mode)
+        assert len(halves) == 20
+        assert np.array_equal(serial.degrees, den.degrees)
+        assert np.array_equal(serial.bands.data, W.data)
+
+    def test_busy_worker_leaves_its_half_to_the_caller(self, monkeypatch):
+        W = split_denoiser(97, 96, "dsg").bands
+        x = gaussian_noise(Rng(6), W.shape[0], 1.0)
+        halves = count_half_products(monkeypatch)
+        release = threading.Event()
+        blocker = kernel_denoise._worker().submit(release.wait, 10)
+        try:
+            assert np.array_equal(band_product(W, x), W @ x)
+            assert [thread for _, thread in halves] == [threading.get_ident()] * 2
+        finally:
+            release.set()
+        assert blocker.result(timeout=10)
+
+    def test_split_copies_no_bands(self):
+        W = split_denoiser(97, 96, "dsg").bands
+        x = gaussian_noise(Rng(5), W.shape[0], 1.0)
+        band_product(W, x)  # starts the worker outside the trace
+        tracemalloc.start()
+        try:
+            band_product(W, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes  # the output and the shifted offsets, no band data
+
+    def test_split_checks_the_length(self):
+        W = split_denoiser(96, 96, "dsg").bands
+        with pytest.raises(ValueError, match="length mismatch"):
+            band_product(W, np.zeros(W.shape[1] - 1))
+
+    def test_small_bands_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        halves = count_half_products(monkeypatch)
+        den = build_denoiser(synthetic_image(48, 48), KernelParams(2, 5, 0.1, "hat"), "dsg")
+        assert den.bands.data.nbytes < kernel_denoise.SPLIT_BYTES
+        x = gaussian_noise(Rng(4), den.n, 1.0)
+        assert np.array_equal(apply_w(den, x), den.bands @ x)
+        assert halves == []
 
 
 class TestMakeGuide:

@@ -24,6 +24,7 @@ from pnpcert import (
     observe,
     spectral_radius,
 )
+from pnpcert import kernel_denoise
 from pnpcert.kernel_denoise import KernelDenoiser
 from pnpcert.spectral import SpectralReport, build_report
 from scipy import sparse
@@ -360,6 +361,27 @@ class TestCheckAssumption:
         assert checks.spectrum_ok
         assert checks.fix_ok
         assert checks.all_ok()
+
+    def test_split_products_give_the_serial_values(self, monkeypatch):
+        # 96^2 with 121 bands is above SPLIT_BYTES; no value may move
+        op = make_inpaint(96, 96, 0.3, Rng(1))
+        guide = synthetic_image(96, 96)
+        split = check_assumption(build_denoiser(guide, KernelParams(2, 5, 0.1, "hat"), "dsg"), op)
+        monkeypatch.setattr(kernel_denoise, "SPLIT_BYTES", np.inf)
+        serial = check_assumption(build_denoiser(guide, KernelParams(2, 5, 0.1, "hat"), "dsg"), op)
+        assert repr(split) == repr(serial)
+
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_split_operator_in_both_modes(self, mode, monkeypatch):
+        # a threshold of 0 splits a small instance, whose solve is quick in both modes
+        op, _, _ = small_problem(12, 12)
+        guide = synthetic_image(12, 12)
+        checks = {}
+        for threshold in (0, np.inf):
+            monkeypatch.setattr(kernel_denoise, "SPLIT_BYTES", threshold)
+            den = build_denoiser(guide, KernelParams(1, 2, 0.15, "hat"), mode)
+            checks[threshold] = repr(check_assumption(den, op))
+        assert checks[0] == checks[np.inf]
 
     def test_arpack_no_convergence_fails_spectrum_checks(self, monkeypatch):
         import scipy.sparse.linalg as spla
