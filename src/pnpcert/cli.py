@@ -69,6 +69,10 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not np.isfinite(value):
+                raise ConfigError(f"{_KEY_FOR_FIELD[f.name]!r} must be finite, got {value!r}")
         checks = [
             (self.task in (None, "inpaint", "deblur", "superres"), f"task: {self.task!r}"),
             (self.crop >= 0, "crop must be >= 0"),
@@ -131,8 +135,6 @@ def parse_config(path) -> ExperimentConfig:
             values[key] = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {value!r}") from None
-        if _PARSERS[key] is float and not np.isfinite(values[key]):
-            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
     return ExperimentConfig(**{_FIELD_FOR_KEY[k]: v for k, v in values.items()})
 
 
@@ -211,9 +213,10 @@ def run_solver(
     max_iter: int | None = None,
     stop_tol: float | None = None,
 ) -> solvers.SolverTrace:
-    """Run the configured solver from x0 on the map ``iteration_operator``
-    builds at grid value gamma (pnp kinds) or 1/L (red): the map ``certify``
-    certifies at that grid value.
+    """Iterate from x0 the map ``iteration_operator`` builds at grid value
+    gamma (pnp kinds) or 1/L (red): the map ``certify`` certifies at that
+    grid value. The map's kind is the scheme; the solver is the one momentum
+    loop, looked up under the configured algorithm's name.
 
     With guide warm-up (pnp_fista only), each of the first
     ``guide_warmup_iters`` iterations rebuilds the denoiser from the iterate
@@ -234,7 +237,7 @@ def run_solver(
             return iteration_operator(replace(prob, denoiser=denoiser), cfg.gamma)
         kwargs.update(rebuild=rebuild, warmup_iters=cfg.guide_warmup_iters)
     grid_value = 1 / cfg.L if cfg.algorithm == "red_apg" else cfg.gamma
-    solver = getattr(solvers, cfg.algorithm)  # pnp_fista | red_apg | scaled_pnp_fista
+    solver = getattr(solvers, cfg.algorithm)  # by name: the benchmark tracer wraps each
     return solver(iteration_operator(prob, grid_value), prob.observed, schedule, x0, **kwargs)
 
 
@@ -373,13 +376,14 @@ def cmd_certify(args) -> int:
         raise ConfigError("guide_warmup_iters > 0: run iterates maps rebuilt from its "
                           "iterates, not one frozen map that certify could analyse")
     grid = _parse_grid(args.grid)
-    prob = build_problem(cfg)
+    fwdops.check_arpack_args(args.power_tol, args.power_max_iter)
+    reports = certify_grid(
+        build_problem(cfg), grid, power_tol=args.power_tol, power_max_iter=args.power_max_iter
+    )
     out = Path(cfg.out)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     rows = []
-    for report in certify_grid(
-        prob, grid, power_tol=args.power_tol, power_max_iter=args.power_max_iter
-    ):
+    for report in reports:
         name = f"{cfg.algorithm}_{_grid_label(report.grid_value)}"
         (out / "reports" / f"{name}.txt").write_text(report.to_kv())
         rows.append(report.csv_row())
@@ -442,8 +446,6 @@ def cmd_denoise(args) -> int:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "gamma", None) is not None:
-        if not 0 < args.gamma < np.inf:
-            raise ConfigError("gamma must be positive and finite")
         updates["gamma"] = args.gamma
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed

@@ -43,15 +43,22 @@ class EigenEstimate:
     iterations: int  # applications of the operator
 
 
+def check_arpack_args(tol: float, max_iter: int) -> None:
+    """ValueError unless 0 < tol < 1 and max_iter >= 1: a relative tolerance
+    of 1 or more (inf included) accepts any vector as an eigenvector."""
+    if not (0 < tol < 1 and max_iter >= 1):
+        raise ValueError("eigensolver tol must lie in (0, 1) and max_iter be at least 1")
+
+
 def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int) -> EigenEstimate:
     """One eigenvalue of the linear map ``apply`` on R^n, from ``arpack_start(n)``.
 
     ``which`` is ARPACK's selector: "LA" for a symmetric map (``eigsh``),
     "LM" or "SR" for any (``eigs``; a non-real eigenvalue comes back complex).
-    ``tol`` is ARPACK's relative tolerance and ``max_iter`` its restart cap.
+    ``tol`` is ARPACK's relative tolerance and ``max_iter`` its restart cap,
+    both checked by ``check_arpack_args``.
     """
-    if not (tol > 0 and max_iter >= 1):
-        raise ValueError("tol must be positive and max_iter at least 1")
+    check_arpack_args(tol, max_iter)
     # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
 

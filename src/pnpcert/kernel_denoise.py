@@ -42,9 +42,11 @@ SPLIT_BYTES = 8 * 2**20
 class KernelParams:
     """Affinity construction parameters.
 
-    ``window_radius >= 1`` keeps the affinity graph strongly connected on the
-    pixel grid (every pixel reaches its 4-neighborhood), which makes the
-    normalized weights irreducible.
+    ``window_radius >= 1`` puts every pixel's 4-neighborhood in its window,
+    but that alone does not make the normalized weights irreducible: an
+    affinity that underflows to 0 (a small ``bandwidth`` across a guide
+    edge) removes its edge, and the graph can fall apart into components.
+    ``spectral.check_assumption`` then finds the eigenvalue 1 repeated.
     """
 
     patch_radius: int = 2

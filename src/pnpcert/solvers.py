@@ -1,20 +1,22 @@
 """Accelerated denoiser-driven iterations for quadratic data fidelity.
 
-Three schemes, all with a pluggable momentum sequence {alpha_k}:
-
-* ``pnp_fista``        -- denoise the gradient step: x_k = W(y_k - gamma * grad f(y_k)),
-* ``red_apg``          -- proximal step on f, then a convex blend with the denoised
-                          extrapolation: v_k = theta * W y_k + (1 - theta) * y_k,
-* ``scaled_pnp_fista`` -- pnp_fista with the gradient taken in the inner product
-                          weighted by the denoiser's degree diagonal, which is the
-                          geometry in which plain NLM weights are self-adjoint.
-
 With the denoiser frozen, each scheme's update is the affine map
-x -> P x + q of a ``spectral.IterationOperator``. The solvers take that map,
-the measurements, the schedule and the start, and do not build the map
-themselves: ``cli.iteration_operator`` builds it, for ``run`` and for
-``certify`` alike, so the map that runs is the map that is certified. One
-momentum loop, ``_accelerate``, iterates the map for all three schemes.
+x -> P x + q of a ``spectral.IterationOperator``, and the map's kind is the
+scheme:
+
+* ``pnp``        -- denoise the gradient step: x_k = W(y_k - gamma * grad f(y_k)),
+* ``red``        -- proximal step on f, then a convex blend with the denoised
+                    extrapolation: v_k = theta * W y_k + (1 - theta) * y_k,
+* ``scaled_pnp`` -- pnp with the gradient taken in the inner product weighted
+                    by the denoiser's degree diagonal, which is the geometry in
+                    which plain NLM weights are self-adjoint.
+
+So there is one solver, ``accelerate``: the momentum iteration, with a
+pluggable sequence {alpha_k}, on the map it is handed. ``pnp_fista``,
+``red_apg`` and ``scaled_pnp_fista``, the config's algorithm names, are
+bound to it. It does not build the map: ``cli.iteration_operator`` builds
+it, for ``run`` and for ``certify`` alike, so the map that runs is the map
+that is certified.
 
 The data-fidelity proximal map solves (I + mu A^T A) x = v + mu A^T b in
 closed form with ``fwdops.solve_shifted_gram`` (a diagonal, Fourier or
@@ -133,38 +135,6 @@ class SolverTrace:
                 )
 
 
-class _TraceBuilder:
-    def __init__(self, truth, x_ref):
-        self.truth = truth
-        self.x_ref = x_ref
-        self.k = []
-        self.alpha = []
-        self.step = []
-        self.dist = [] if x_ref is not None else None
-        self.psnr = [] if truth is not None else None
-
-    def record(self, k, a, x, dx):
-        self.k.append(k)
-        self.alpha.append(a)
-        self.step.append(l2_norm(dx))
-        if self.dist is not None:
-            self.dist.append(l2_norm(x - self.x_ref))
-        if self.psnr is not None:
-            self.psnr.append(psnr_vec(x, self.truth))
-
-    def build(self, final, converged) -> SolverTrace:
-        return SolverTrace(
-            k=np.array(self.k, dtype=np.int64),
-            alpha=np.array(self.alpha),
-            step_norm=np.array(self.step),
-            dist_to_ref=None if self.dist is None else np.array(self.dist),
-            psnr=None if self.psnr is None else np.array(self.psnr),
-            final=final,
-            converged=converged,
-            iterations=len(self.k),
-        )
-
-
 def prox_quadratic(
     op: ForwardOp,
     b: np.ndarray,
@@ -191,112 +161,71 @@ def _guard_iterate(x: np.ndarray, k: int, bound: float) -> float:
     return norm  # the stop test reuses it
 
 
-def _accelerate(
+def accelerate(
     it: IterationOperator,
-    data: np.ndarray,
+    b: np.ndarray,
     schedule: MomentumSchedule,
     x0: np.ndarray,
-    max_iter: int,
-    stop_tol: float,
-    truth: np.ndarray | None,
-    x_ref: np.ndarray | None,
-    x1: np.ndarray | None = None,
+    max_iter: int = 20000,
+    stop_tol: float = 1e-9,
+    truth: np.ndarray | None = None,
+    x_ref: np.ndarray | None = None,
     rebuild=None,
     warmup_iters: int = 0,
 ) -> SolverTrace:
-    """The momentum loop of all three solvers:
+    """The momentum iteration on the map ``it`` for measurements b:
 
         x_{k+1} = P y_k + q,   y_k = x_k + alpha_k (x_k - x_{k-1}),   k >= 1,
 
-    with x -> P x + q given by ``it.step(x, data)``. The first iterate is
-    x_1 = P x_0 + q, or ``x1`` when given, in which case x_0 := x1 and the
-    zero first step does not count as convergence. ``rebuild(x)`` returns
-    the map for the next iteration during the first ``warmup_iters``
-    iterations. The loop stops when ||x_k - x_{k-1}|| <= stop_tol ||x_k||
-    or after ``max_iter`` iterations, and raises DivergenceError on a
+    with x -> P x + q given by ``it.step``, so the map's kind decides the
+    scheme. pnp kinds start from x_1 = P x_0 + q. red reads x_0 as v_0 and
+    starts from its prox x_1, with x_0 := x_1: the first step is zero, which
+    keeps alpha_1 != 0 well defined, and it does not count as convergence.
+
+    ``rebuild(x)`` returns the map for the next iteration during the first
+    ``warmup_iters`` iterations (guide warm-up); afterwards the map is
+    frozen. The loop stops when ||x_k - x_{k-1}|| <= stop_tol ||x_k|| or
+    after ``max_iter`` iterations, and raises DivergenceError on a
     non-finite iterate or one whose norm exceeds 1e8 (1 + ||x_0||).
     """
     if warmup_iters > 0 and rebuild is None:
         raise ValueError("guide warm-up requires a rebuild of the map")
+    data = it.data_term(b)
+    x0 = check_len(x0, it.n)
     guard = 1e8 * (1.0 + l2_norm(x0))
-    tracer = _TraceBuilder(truth, x_ref)
-    x_prev = y = x0 if x1 is None else x1
+    red = it.kind == "red"
+    x_prev = y = solve_shifted_gram(it.op, it.mu, x0 + data) if red else x0
+    alpha, step, dist, quality = [], [], [], []
     converged = False
     for k in range(1, max_iter + 1):
-        given = k == 1 and x1 is not None
-        x = x1 if given else it.step(y, data)
+        x = x_prev if red and k == 1 else it.step(y, data)
         x_norm = _guard_iterate(x, k, guard)
         a = schedule.alpha(k)
         dx = x - x_prev
-        tracer.record(k, a, x, dx)
-        converged = not given and bool(tracer.step[-1] <= stop_tol * x_norm)
+        alpha.append(a)
+        step.append(l2_norm(dx))
+        if x_ref is not None:
+            dist.append(l2_norm(x - x_ref))
+        if truth is not None:
+            quality.append(psnr_vec(x, truth))
+        converged = not (red and k == 1) and bool(step[-1] <= stop_tol * x_norm)
         y = x + a * dx
         x_prev = x
         if k <= warmup_iters:
             it = rebuild(x)
         if converged:
             break
-    return tracer.build(x_prev, converged)
+    return SolverTrace(
+        k=np.arange(1, len(step) + 1),
+        alpha=np.array(alpha),
+        step_norm=np.array(step),
+        dist_to_ref=None if x_ref is None else np.array(dist),
+        psnr=None if truth is None else np.array(quality),
+        final=x_prev,
+        converged=converged,
+        iterations=len(step),
+    )
 
 
-def pnp_fista(
-    it: IterationOperator,
-    b: np.ndarray,
-    schedule: MomentumSchedule,
-    x0: np.ndarray,
-    max_iter: int = 20000,
-    stop_tol: float = 1e-9,
-    truth: np.ndarray | None = None,
-    x_ref: np.ndarray | None = None,
-    rebuild=None,
-    warmup_iters: int = 0,
-) -> SolverTrace:
-    """Denoiser-in-the-gradient-step iteration with momentum, on a pnp or
-    scaled_pnp map ``it``:
-
-    y_1 = x_0; for k >= 1:
-        x_k = W (y_k - gamma * A^T (A y_k - b))      (pnp)
-        x_k = W (y_k - gamma * D^-1 A^T (A y_k - b)) (scaled_pnp)
-        y_{k+1} = x_k + alpha_k (x_k - x_{k-1})
-
-    ``rebuild(x)``, together with ``warmup_iters > 0``, returns the map on a
-    denoiser rebuilt from the iterate during warm-up; afterwards the map is
-    frozen so the remaining iterations follow a fixed affine map.
-    """
-    if it.kind == "red":
-        raise ValueError("red maps are iterated by red_apg")
-    return _accelerate(it, it.data_term(b), schedule, check_len(x0, it.n), max_iter, stop_tol,
-                       truth, x_ref, rebuild=rebuild, warmup_iters=warmup_iters)
-
-
-# the map carries the degree scaling, so the loop is pnp_fista's
-scaled_pnp_fista = pnp_fista
-
-
-def red_apg(
-    it: IterationOperator,
-    b: np.ndarray,
-    schedule: MomentumSchedule,
-    v0: np.ndarray,
-    max_iter: int = 20000,
-    stop_tol: float = 1e-9,
-    truth: np.ndarray | None = None,
-    x_ref: np.ndarray | None = None,
-) -> SolverTrace:
-    """Proximal-then-blend iteration with momentum, on a red map ``it``:
-
-    for k >= 1:
-        x_k = argmin_x  mu/2 ||A x - b||^2 + 1/2 ||x - v_{k-1}||^2
-        y_k = x_k + alpha_k (x_k - x_{k-1})
-        v_k = theta W y_k + (1 - theta) y_k
-
-    The first momentum term needs x_0; we set x_0 := x_1 (zero first momentum),
-    which coincides with the beck schedule's alpha_1 = 0 behavior and keeps the
-    update well-defined for schedules with alpha_1 != 0.
-    """
-    if it.kind != "red":
-        raise ValueError("red_apg iterates a red map")
-    data = it.data_term(b)
-    v0 = check_len(v0, it.n)
-    x1 = solve_shifted_gram(it.op, it.mu, v0 + data)
-    return _accelerate(it, data, schedule, v0, max_iter, stop_tol, truth, x_ref, x1=x1)
+# the algorithm names of the config; the map each is handed carries its scheme
+pnp_fista = red_apg = scaled_pnp_fista = accelerate

@@ -117,6 +117,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(path)
 
+    @pytest.mark.parametrize("name, key", [
+        ("gamma", "gamma"), ("noise_sigma", "noise_sigma"), ("lam", "lambda"), ("L", "L"),
+        ("stop_tol", "stop_tol"), ("bandwidth", "bandwidth"),
+    ])
+    def test_direct_config_rejects_non_finite_floats(self, name, key):
+        # the scripts build ExperimentConfig without parse_config
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            ExperimentConfig(**{name: float("inf")})
+
     def test_lambda_key_maps(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("lambda = 2.5\n")
@@ -463,8 +472,10 @@ class TestCertify:
     def test_red_grid_validated(self, tmp_path):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, algorithm="red_apg")
-        code = main(["certify", "--config", str(cfg_path), "--grid", "1.5"])
+        # 0.5 is certified before 1.5 is rejected; no report directory is left
+        code = main(["certify", "--config", str(cfg_path), "--grid", "0.5,1.5"])
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid", ["nan,inf", "nan", "0.5,inf"])
     def test_non_finite_grid_rejected(self, tmp_path, grid):
@@ -475,14 +486,15 @@ class TestCertify:
 
     @pytest.mark.parametrize("flag, value", [
         ("--power-max-iter", "0"), ("--power-max-iter", "-3"),
-        ("--power-tol", "nan"), ("--power-tol", "0"),
+        ("--power-tol", "nan"), ("--power-tol", "0"), ("--power-tol", "inf"),
+        ("--power-tol", "1"),
     ])
     def test_invalid_power_arguments_rejected(self, tmp_path, flag, value):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint")
         code = main(["certify", "--config", str(cfg_path), "--grid", "0.5", flag, value])
         assert code == EXIT_CONFIG
-        assert not (tmp_path / "out" / "certify.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_close_grid_values_get_separate_reports(self, tmp_path):
         write_truth(tmp_path)
@@ -521,7 +533,7 @@ class TestSameMap:
         cfg_path = write_config(tmp_path, algorithm=algorithm, denoiser=denoiser,
                                 max_iter=3, **over)
         ran, certified = [], []
-        monkeypatch.setattr(solvers, "_accelerate", spy(solvers._accelerate, 0, ran))
+        monkeypatch.setattr(solvers, algorithm, spy(getattr(solvers, algorithm), 0, ran))
         monkeypatch.setattr(spectral, "build_report", spy(spectral.build_report, 1, certified))
         grid = 1.0 / over["L"] if algorithm == "red_apg" else 0.9
         assert main(["run", "--config", str(cfg_path)]) == EXIT_OK

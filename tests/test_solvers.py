@@ -227,12 +227,6 @@ class TestPnpFista:
         with pytest.raises(ValueError):
             IterationOperator("pnp", op, den, None)
 
-    def test_red_map_rejected(self):
-        _, op, b, den = inpaint_problem()
-        it = IterationOperator("red", op, den, mu=0.5, theta=0.5)
-        with pytest.raises(ValueError, match="red_apg"):
-            pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n))
-
     def test_fixed_point_consistency_after_stop(self):
         _, op, b, den = inpaint_problem()
         it = IterationOperator("pnp", op, den, 0.9 / lambda_max_gram(op).value)
@@ -315,12 +309,6 @@ class TestRedApg:
         trace = red_apg(it, b, MomentumSchedule("beck"), np.zeros(op.n), max_iter=20,
                         truth=truth.data)
         assert trace.psnr is not None and len(trace.psnr) == trace.iterations
-
-    def test_pnp_map_rejected(self):
-        _, op, b, den = inpaint_problem()
-        with pytest.raises(ValueError, match="red map"):
-            red_apg(IterationOperator("pnp", op, den, 0.5), b, MomentumSchedule("beck"),
-                    np.zeros(op.n))
 
 
 class TestScaledPnpFista:
@@ -425,8 +413,20 @@ def test_matches_hand_rolled_recurrence(kind):
         trace = solve(it, b, sched, x0, max_iter=max_iter, stop_tol=0.0)
         x_prev, x = x0, it.apply(x0) + offset(it, b)
     q = offset(it, b)
+    steps = [np.linalg.norm(x - x_prev)]  # red's first step is zero: x_0 := x_1
     for k in range(1, max_iter):
         y = x + sched.alpha(k) * (x - x_prev)
         x_prev, x = x, it.apply(y) + q
+        steps.append(np.linalg.norm(x - x_prev))
     assert trace.iterations == max_iter
     assert np.linalg.norm(trace.final - x) <= 1e-12 * np.linalg.norm(x)
+    assert np.array_equal(trace.k, np.arange(1, max_iter + 1))
+    assert trace.alpha.tolist() == [sched.alpha(k) for k in range(1, max_iter + 1)]
+    if kind == "red":
+        assert trace.step_norm[0] == 0.0
+    assert np.abs(trace.step_norm - steps).max() <= 1e-12 * np.linalg.norm(x)
+
+
+def test_one_solver_for_every_algorithm():
+    # the map carries the scheme, so the algorithm names share one loop
+    assert pnp_fista is red_apg is scaled_pnp_fista

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnpcert import (
+    Image,
     IterationOperator,
     KernelParams,
     Rng,
@@ -361,6 +362,21 @@ class TestCheckAssumption:
         assert checks.spectrum_ok
         assert checks.fix_ok
         assert checks.all_ok()
+
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_underflowing_affinities_disconnect_the_weights(self, mode):
+        # window_radius >= 1 does not make W irreducible: with a step guide
+        # and a tiny bandwidth every affinity across the step underflows to 0
+        from scipy.sparse.csgraph import connected_components
+
+        grid = np.zeros((8, 8))
+        grid[:, 4:] = 1.0
+        den = build_denoiser(Image.from_grid(grid), KernelParams(0, 1, 1e-3, "hat"), mode)
+        assert connected_components(den.weights, directed=False)[0] == 2
+        checks = check_assumption(den, small_problem()[0])
+        assert checks.stochastic_ok and checks.spectrum_ok
+        assert not checks.fix_ok
+        assert checks.second_eigenvalue == pytest.approx(1.0, abs=1e-12)
 
     def test_split_products_give_the_serial_values(self, monkeypatch):
         # 96^2 with 121 bands is above SPLIT_BYTES; no value may move
