@@ -10,12 +10,17 @@ Each problem is the CLI's: ``build_problem`` on a config with the CLI
 defaults, a 9-tap blur of sigma 2 and the options below, certified by
 ``certify_grid``. So a row, after its algorithm column, is the row that
 ``pnpcert certify`` writes for that config with the same ``--power-tol``.
+``--grid`` is read by ``pnpcert certify``'s parser, and errors exit with the
+CLI's one-line messages and codes (2 for a bad grid or option).
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from pnpcert.cli import ExperimentConfig, build_problem, certify_grid
+from pnpcert.cli import (
+    EXIT_OK, ExperimentConfig, build_problem, certify_grid, exit_code, parse_grid,
+)
 from pnpcert.spectral import SWEEP_CSV_HEADER
 
 
@@ -32,7 +37,7 @@ def main():
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
-    grid = [float(v) for v in args.grid.split(",")]
+    grid = parse_grid(args.grid)
     rows = []
     for task in ("inpaint", "deblur"):
         for algorithm in ("pnp_fista", "red_apg"):
@@ -49,7 +54,8 @@ def main():
     )
     certified = sum(row.endswith("true") for row in rows)
     print(f"\n{certified}/{len(rows)} rows certified -> {args.out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -7,12 +7,14 @@ One CSV per schedule; the constant(0) schedule is the non-accelerated
 baseline iteration.
 
 The problem and the runs are those of ``pnpcert schedules`` on the matching
-config: the CLI defaults, a hat window and the options below.
+config: the CLI defaults, a hat window and the options below. Errors exit
+with the CLI's one-line messages and codes (2 for a bad option).
 """
 
 import argparse
+import sys
 
-from pnpcert.cli import ExperimentConfig, compare_schedules
+from pnpcert.cli import EXIT_OK, ExperimentConfig, compare_schedules, exit_code
 
 
 def main():
@@ -37,7 +39,8 @@ def main():
         window_shape="hat", gamma=args.gamma, max_iter=args.max_iter, out=args.out,
     )
     compare_schedules(cfg, args.schedules, args.ref_iters)
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -7,13 +7,14 @@ The ``gamma`` key is a fraction of the certified step-size bound: the solver
 uses gamma / lambda_hat where lambda_hat is the largest Gram eigenvalue,
 exact from the operator's structure (for the scaled algorithm, that of
 D^-1/2 A^T A D^-1/2: exact for inpainting, ARPACK otherwise). ``iteration_operator`` is
-the one builder of the iteration map from a grid value: ``certify``
-certifies its maps, and ``run`` and ``schedules`` hand the solver its map at
-grid value ``gamma`` (1/L for red_apg), so they iterate the map ``certify``
-certifies. The ``cg_tol`` and ``cg_max_iter`` keys are accepted and have no
-effect: the quadratic prox is solved exactly.
+the one builder of the iteration map from a grid value, and the map's
+constructor the one judge of it: ``certify`` builds every grid value's map
+before any eigensolve, and ``run`` and ``schedules`` hand the solver its map
+at grid value ``gamma`` (1/L for red_apg), so they iterate the map
+``certify`` certifies. The ``cg_tol`` and ``cg_max_iter`` keys are accepted
+and have no effect: the quadratic prox is solved exactly.
 
-Exit codes: 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
+Exit codes (``exit_code``): 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -245,12 +246,11 @@ def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOp
     """Iteration operator for the configured algorithm at one grid value.
 
     For the pnp paths the grid value is the step-size fraction; for red it is
-    1/L, so theta = grid_value and mu = grid_value / lambda.
+    1/L, so theta = grid_value and mu = grid_value / lambda. The map's
+    constructor judges the value: a red value above 1 raises ValueError.
     """
     cfg = prob.cfg
     if cfg.algorithm == "red_apg":
-        if not 0 < grid_value <= 1:
-            raise ConfigError("red grid values are 1/L and must lie in (0, 1]")
         return spectral.IterationOperator(
             "red", prob.op, prob.denoiser, mu=grid_value / cfg.lam, theta=grid_value
         )
@@ -261,16 +261,17 @@ def iteration_operator(prob: Problem, grid_value: float) -> spectral.IterationOp
 def certify_grid(prob: Problem, grid, **eigensolver) -> list[spectral.SpectralReport]:
     """One report per grid value, each on the map ``iteration_operator`` builds.
 
-    The assumption checks do not depend on the grid value and run once;
+    All maps are built, so every value is judged, before any eigensolve. The
+    assumption checks do not depend on the grid value and run once;
     ``eigensolver`` holds ``build_report``'s ``power_tol``/``power_max_iter``.
     """
+    maps = [iteration_operator(prob, value) for value in grid]
     checks = spectral.check_assumption(prob.denoiser, prob.op)
     return [
         spectral.build_report(
-            prob.cfg.task, iteration_operator(prob, value), value, prob.lambda_hat.value,
-            checks, **eigensolver,
+            prob.cfg.task, it, value, prob.lambda_hat.value, checks, **eigensolver
         )
-        for value in grid
+        for it, value in zip(maps, grid)
     ]
 
 
@@ -302,11 +303,11 @@ def _fmt(value) -> str:
 def cmd_run(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     prob = build_problem(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     x_ref = _load_reference(args.ref_limit, prob.op.n) if args.ref_limit else None
     schedule = solvers.parse_schedule(cfg.schedule)
     trace = run_solver(prob, schedule, _initial_vector(cfg, prob), x_ref=x_ref)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     recon = Image(trace.final, prob.truth.rows, prob.truth.cols)
     save_pgm(recon, out / "recon.pgm")
     np.save(out / "recon.npy", trace.final)
@@ -332,9 +333,7 @@ def cmd_run(args) -> int:
     if prob.op.kind == "inpaint":
         fwdops.save_mask_pgm(prob.op, out / "mask.pgm")
     else:
-        r = prob.op.rows_in // prob.op.factor
-        c = prob.op.cols_in // prob.op.factor
-        observed_img = Image(prob.observed, r, c)
+        observed_img = Image(prob.observed, *prob.op.meas_shape)
         save_pgm(observed_img, out / "observed.pgm")
         if prob.op.kind == "blur":
             pairs.append(("psnr_observed", _fmt(psnr(observed_img, prob.truth))))
@@ -343,7 +342,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[float]:
+def parse_grid(text: str) -> list[float]:
+    """A ``--grid`` list: positive finite values whose report names differ."""
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ConfigError("grid must contain at least one value")
@@ -375,7 +375,7 @@ def cmd_certify(args) -> int:
     if cfg.guide_warmup_iters > 0:
         raise ConfigError("guide_warmup_iters > 0: run iterates maps rebuilt from its "
                           "iterates, not one frozen map that certify could analyse")
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid)
     fwdops.check_arpack_args(args.power_tol, args.power_max_iter)
     reports = certify_grid(
         build_problem(cfg), grid, power_tol=args.power_tol, power_max_iter=args.power_max_iter
@@ -499,11 +499,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code(command, *args) -> int:
+    """``command(*args)``'s exit code, for ``main`` and the experiment scripts:
+    an expected error prints one line to stderr and gives its class's code."""
     try:
-        return args.func(args)
+        return command(*args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -519,6 +519,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ class ForwardOp:
         return self.rows_in * self.cols_in
 
     @property
-    def _meas_shape(self) -> tuple[int, int]:
+    def meas_shape(self) -> tuple[int, int]:
         return self.rows_in // self.factor, self.cols_in // self.factor
 
     def _convolve(self, g: np.ndarray, transpose: bool) -> np.ndarray:
@@ -128,7 +128,7 @@ class ForwardOp:
             return out
         if self.kind == "superres":
             up = np.zeros((self.rows_in, self.cols_in))
-            up[:: self.factor, :: self.factor] = y.reshape(self._meas_shape)
+            up[:: self.factor, :: self.factor] = y.reshape(self.meas_shape)
             g = up
         else:
             g = y.reshape(self.rows_in, self.cols_in)
@@ -277,7 +277,7 @@ def solve_shifted_gram(op: ForwardOp, mu: float, rhs: np.ndarray) -> np.ndarray:
         grid = rhs.reshape(op.rows_in, op.cols_in)
         spec = fft.rfft2(grid) / (1.0 + mu * op.aat_symbol)
         return fft.irfft2(spec, s=grid.shape).reshape(-1)
-    coarse = op.apply(rhs).reshape(op._meas_shape)
+    coarse = op.apply(rhs).reshape(op.meas_shape)
     spec = fft.rfft2(coarse) / (1.0 + mu * op.aat_symbol)
     return rhs - mu * op.adjoint(fft.irfft2(spec, s=coarse.shape))
 

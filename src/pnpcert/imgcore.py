@@ -40,10 +40,6 @@ class Image:
             raise ValueError("image data must be finite")
         object.__setattr__(self, "data", data)
 
-    @property
-    def n(self) -> int:
-        return self.rows * self.cols
-
     def grid(self) -> np.ndarray:
         """View of the pixel data as a (rows, cols) array."""
         return self.data.reshape(self.rows, self.cols)

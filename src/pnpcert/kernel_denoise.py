@@ -265,21 +265,19 @@ def make_guide(observed: np.ndarray, op: ForwardOp) -> Image:
     """Guide image from the measurements, fixed before any solver iteration,
     chosen by the operator's kind (a superres factor of 1 builds a blur):
 
-    inpaint: zero-fill unobserved pixels, then a 3x3 median filter;
+    inpaint: A^T b (unobserved pixels 0), then a 3x3 median filter;
     blur: the observed image verbatim;
     superres: bicubic upsampling of the observed image by the stride factor.
     """
     observed = check_len(observed, op.m)
     if op.kind == "inpaint":
-        filled = np.zeros(op.n)
-        filled[op.mask] = observed
         grid = ndimage.median_filter(
-            filled.reshape(op.rows_in, op.cols_in), size=3, mode="reflect"
+            op.adjoint(observed).reshape(op.rows_in, op.cols_in), size=3, mode="reflect"
         )
         return Image.from_grid(grid)
     if op.kind == "blur":
         return Image(observed, op.rows_in, op.cols_in)
-    small = observed.reshape(op.rows_in // op.factor, op.cols_in // op.factor)
+    small = observed.reshape(op.meas_shape)
     # 'mirror' keeps the cubic-spline prefilter exact (constants reproduce)
     grid = ndimage.zoom(small, op.factor, order=3, mode="mirror", grid_mode=True)
     return Image.from_grid(grid)

@@ -110,6 +110,14 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"^{key} must"):
                 parse_config(path)
 
+    @pytest.mark.parametrize("line, message", [("schedule = nope", "nope"),
+                                               ("bandwidth = 0", "bandwidth")])
+    def test_schedule_and_kernel_rejected_when_parsed(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+
     @pytest.mark.parametrize("line", ["gamma = inf", "gamma = nan", "stop_tol = -inf"])
     def test_non_finite_float_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
@@ -256,6 +264,46 @@ class TestRun:
         first = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1]
         assert first.split(",")[3] != ""
 
+    def test_pgm_reference_limit(self, tmp_path):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, max_iter=20)
+        ref = tmp_path / "ref.pgm"
+        save_pgm(synthetic_image(16, 16), ref)
+        assert main(["run", "--config", str(cfg_path), "--ref-limit", str(ref)]) == EXIT_OK
+        last = (tmp_path / "out" / "trace.csv").read_text().splitlines()[-1]
+        recon = np.load(tmp_path / "out" / "recon.npy")
+        expected = np.linalg.norm(recon - load_pgm(ref).data)
+        assert float(last.split(",")[3]) == pytest.approx(expected, rel=1e-12)
+
+    def test_wrong_length_reference_writes_no_out(self, tmp_path, capsys):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, max_iter=20)
+        ref = tmp_path / "ref.npy"
+        np.save(ref, np.zeros(10))
+        assert main(["run", "--config", str(cfg_path), "--ref-limit", str(ref)]) == EXIT_CONFIG
+        assert "reference limit has 10 entries, expected 256" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_equals_config_seed(self, tmp_path):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", out=tmp_path / "flag")
+        assert main(["run", "--config", str(cfg_path), "--seed", "5"]) == EXIT_OK
+        cfg_path = write_config(tmp_path, task="inpaint", seed=5, out=tmp_path / "key")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        for name in ("recon.npy", "trace.csv", "summary.txt", "mask.pgm"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+
+    def test_malformed_pgm_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "truth.pgm").write_text("P6\n1 1\n255\n0\n")
+        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("file format error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_image_below_2x2_rejected(self, tmp_path, capsys):
+        write_truth(tmp_path, 1, 8)
+        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_CONFIG
+        assert "at least 2x2" in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("gamm = 0.9\n")
@@ -265,10 +313,12 @@ class TestRun:
         cfg_path = write_config(tmp_path)  # truth.pgm never written
         assert main(["run", "--config", str(cfg_path)]) == EXIT_IO
 
-    def test_divergent_gamma_exit_code(self, tmp_path):
+    def test_divergent_gamma_exit_code(self, tmp_path, capsys):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint", gamma=5000.0, max_iter=500)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err.startswith("divergence:")
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_gamma_is_config_error(self, tmp_path):
         # not a divergence: the value never reaches the solver
@@ -313,14 +363,14 @@ class TestRun:
 
     def test_init_independence_through_cli(self, tmp_path):
         write_truth(tmp_path)
-        out_a, out_b = tmp_path / "za", tmp_path / "zb"
-        for out, init in ((out_a, "zeros"), (out_b, "random")):
+        inits = ("zeros", "random", "backprojection")
+        for init in inits:
             cfg_path = write_config(tmp_path, task="inpaint", init=init,
-                                    max_iter=20000, out=str(out))
+                                    max_iter=20000, out=str(tmp_path / init))
             assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
-        a = np.load(out_a / "recon.npy")
-        b = np.load(out_b / "recon.npy")
-        assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-6
+        a, *others = (np.load(tmp_path / init / "recon.npy") for init in inits)
+        for b in others:
+            assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-6
 
     def test_guide_warmup_rebuilds_the_iterated_map(self, tmp_path, monkeypatch):
         from pnpcert import kernel_denoise
@@ -469,12 +519,29 @@ class TestCertify:
         cfg_path = write_config(tmp_path)
         assert main(["certify", "--config", str(cfg_path), "--grid", " ,"]) == EXIT_CONFIG
 
-    def test_red_grid_validated(self, tmp_path):
+    def test_red_grid_validated(self, tmp_path, monkeypatch, capsys):
+        import scipy.sparse.linalg as spla
+
+        # the map's constructor rejects 1.5 before the assumption checks and
+        # before 0.5's eigensolves; no output directory is left
+        checked, solved = [], []
+        monkeypatch.setattr(spectral, "check_assumption",
+                            spy(spectral.check_assumption, 0, checked))
+        for name in ("eigs", "eigsh"):
+            monkeypatch.setattr(spla, name, spy(getattr(spla, name), 0, solved))
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, algorithm="red_apg")
-        # 0.5 is certified before 1.5 is rejected; no report directory is left
         code = main(["certify", "--config", str(cfg_path), "--grid", "0.5,1.5"])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "validation error: theta must be in [0, 1]\n"
+        assert checked == [] and solved == []
+        assert not (tmp_path / "out").exists()
+
+    def test_unparsable_grid_value_rejected(self, tmp_path, capsys):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5,abc"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: invalid grid value")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid", ["nan,inf", "nan", "0.5,inf"])

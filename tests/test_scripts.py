@@ -1,10 +1,13 @@
-"""Smoke tests: the experiment scripts run end to end on a tiny crop."""
+"""Smoke tests: the experiment scripts run end to end on a tiny crop, and
+exit as ``pnpcert`` does on a bad option."""
 
 import numpy as np
+import pytest
 
-from pnpcert.cli import main
+from pnpcert import save_pgm
+from pnpcert.cli import EXIT_CONFIG, main
 
-from conftest import run_script
+from conftest import run_script, script_exit_code, synthetic_image
 
 
 def test_certify_sweep(tmp_path, monkeypatch):
@@ -55,3 +58,19 @@ def test_sweep_rows_are_cli_certify_rows(tmp_path, monkeypatch):
             row = (tmp_path / cfg.stem / "certify.csv").read_text().splitlines()[1]
             cli_rows.append(f"{algorithm},{row}")
     assert sweep == cli_rows
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("certify_sweep.py", ["--grid", "nan"], "config error: grid values must be positive"),
+    ("certify_sweep.py", ["--grid", "0.5,0.5"], "config error: grid values must be distinct"),
+    ("schedule_comparison.py", ["--gamma", "inf"], "config error: 'gamma' must be finite"),
+])
+def test_bad_option_exits_like_the_cli(tmp_path, monkeypatch, capsys, script, argv, message):
+    image = tmp_path / "img.pgm"
+    save_pgm(synthetic_image(24, 24), image)
+    code = script_exit_code(monkeypatch, script, str(image), "--crop", "16", *argv,
+                            "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()  # one line, no traceback
+    assert line.startswith(message)
+    assert not (tmp_path / "out").exists()

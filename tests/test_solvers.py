@@ -221,6 +221,14 @@ class TestPnpFista:
             pnp_fista(it, b, MomentumSchedule("beck"), np.zeros(op.n), max_iter=2000)
         assert err.value.iteration >= 1
 
+    def test_non_finite_start_diverges(self):
+        _, op, b, den = inpaint_problem()
+        it = IterationOperator("pnp", op, den, 0.9 / lambda_max_gram(op).value)
+        x0 = np.zeros(op.n)
+        x0[0] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite iterate"):
+            pnp_fista(it, b, MomentumSchedule("beck"), x0, max_iter=10)
+
     def test_gamma_required(self):
         # the map pnp_fista iterates cannot be built without a step size
         _, op, _, den = inpaint_problem()
