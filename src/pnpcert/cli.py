@@ -178,8 +178,6 @@ class Problem:
 def build_problem(cfg: ExperimentConfig) -> Problem:
     _require(cfg, "task", "image")
     truth = _center_crop(load_pgm(cfg.image), cfg.crop)
-    if min(truth.rows, truth.cols) < 2:
-        raise ConfigError("image must be at least 2x2 for a kernel denoiser")
     rng = Rng(cfg.seed)
     if cfg.task == "inpaint":
         op = fwdops.make_inpaint(truth.rows, truth.cols, cfg.mask_fraction, rng)
@@ -402,7 +400,8 @@ def cmd_schedules(args) -> int:
 
 def compare_schedules(cfg: ExperimentConfig, spec_list: str, ref_iters: int) -> None:
     """Trace each comma-separated schedule spec against a ``ref_iters``-step
-    beck reference run; write reference.npy and schedule_<name>.csv files."""
+    beck reference run; write reference.npy and schedule_<name>.csv files,
+    creating ``out/`` only after every run has returned."""
     if ref_iters <= 0:
         raise ConfigError("a positive --ref-iters reference run is required")
     specs = [s.strip() for s in spec_list.split(",") if s.strip()]
@@ -410,16 +409,16 @@ def compare_schedules(cfg: ExperimentConfig, spec_list: str, ref_iters: int) -> 
         raise ConfigError("at least one schedule is required")
     schedules = [solvers.parse_schedule(s) for s in specs]
     prob = build_problem(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     x0 = _initial_vector(cfg, prob)
     ref = run_solver(
         prob, solvers.MomentumSchedule("beck"), x0,
         max_iter=ref_iters, stop_tol=0.0,
     )
+    traces = [run_solver(prob, sched, x0, x_ref=ref.final) for sched in schedules]
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     np.save(out / "reference.npy", ref.final)
-    for sched in schedules:
-        trace = run_solver(prob, sched, x0, x_ref=ref.final)
+    for sched, trace in zip(schedules, traces):
         path = out / f"schedule_{_slug(sched.label())}.csv"
         trace.write_csv(path)
         print(f"{sched.label()}: {trace.iterations} iterations, final distance "
@@ -434,8 +433,6 @@ def cmd_denoise(args) -> int:
         raise ConfigError(
             f"image {noisy.rows}x{noisy.cols} and guide {guide.rows}x{guide.cols} differ"
         )
-    if min(noisy.rows, noisy.cols) < 2:
-        raise ConfigError("image must be at least 2x2 for a kernel denoiser")
     denoiser = kernel_denoise.build_denoiser(guide, _kernel_params(cfg), cfg.denoiser)
     result = kernel_denoise.apply_w(denoiser, noisy.data)
     save_pgm(Image(result, noisy.rows, noisy.cols), args.out)

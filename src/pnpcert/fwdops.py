@@ -36,9 +36,9 @@ def arpack_start(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenEstimate:
-    """One eigenvalue, exact (0 iterations) or from ARPACK (nan if unconverged)."""
+    """Eigenvalues, exact (0 iterations) or from ARPACK (nan if unconverged)."""
 
-    value: float | complex
+    value: float | complex | np.ndarray  # one value, or an ascending array of k > 1
     converged: bool
     iterations: int  # applications of the operator
 
@@ -50,15 +50,24 @@ def check_arpack_args(tol: float, max_iter: int) -> None:
         raise ValueError("eigensolver tol must lie in (0, 1) and max_iter be at least 1")
 
 
-def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int) -> EigenEstimate:
-    """One eigenvalue of the linear map ``apply`` on R^n, from ``arpack_start(n)``.
+def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int,
+                      k: int = 1) -> EigenEstimate:
+    """``k`` eigenvalues of the linear map ``apply`` on R^n, from ``arpack_start(n)``;
+    every eigensolve of the package goes through here.
 
-    ``which`` is ARPACK's selector: "LA" for a symmetric map (``eigsh``),
-    "LM" or "SR" for any (``eigs``; a non-real eigenvalue comes back complex).
-    ``tol`` is ARPACK's relative tolerance and ``max_iter`` its restart cap,
-    both checked by ``check_arpack_args``.
+    ``which`` is ARPACK's selector: "LA" or "BE" (both ends) for a symmetric
+    map (``eigsh``), "LM" or "SR" for any (``eigs``; a non-real eigenvalue
+    comes back complex). ``check_arpack_args`` checks ``tol`` (relative) and
+    ``max_iter`` (restart cap); ARPACK's size rule is checked here: ValueError
+    unless n > k (eigsh) or n > k + 1 (eigs). For k > 1 the values come back
+    ascending. If ARPACK does not converge, every value is nan.
     """
     check_arpack_args(tol, max_iter)
+    symmetric = which in ("LA", "BE")
+    bound = k if symmetric else k + 1
+    if n <= bound:
+        solver = "eigsh" if symmetric else "eigs"
+        raise ValueError(f"ARPACK {solver} needs n > {bound} for {k} eigenvalue(s), got n = {n}")
     # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
 
@@ -70,13 +79,15 @@ def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int) -> E
         return apply(x.reshape(-1))
 
     try:
-        (mu,) = (eigsh if which == "LA" else eigs)(
-            LinearOperator((n, n), matvec=counted, dtype=np.float64), k=1, which=which,
-            v0=arpack_start(n), tol=tol, maxiter=max_iter,
-            return_eigenvectors=False,
+        mu = (eigsh if symmetric else eigs)(
+            LinearOperator((n, n), matvec=counted, dtype=np.float64), k=k, which=which,
+            v0=arpack_start(n), tol=tol, maxiter=max_iter, return_eigenvectors=False,
         )
     except ArpackNoConvergence:
-        return EigenEstimate(float("nan"), False, calls)
+        return EigenEstimate(float("nan") if k == 1 else np.full(k, np.nan), False, calls)
+    if k > 1:
+        return EigenEstimate(np.sort(mu), True, calls)
+    (mu,) = mu
     return EigenEstimate(float(mu.real) if mu.imag == 0 else complex(mu), True, calls)
 
 

@@ -16,7 +16,8 @@ eigenvalues of P that bound the rate with ARPACK (Lehoucq, Sorensen & Yang,
 SIAM 1998) on the iterated map itself, and verifies the convergence
 preconditions on the denoiser/operator pair, deciding those on the spectrum
 of W by one symmetric Lanczos solve on W or its symmetric similar form,
-with the tolerances ``*_TOL`` that the reports also print.
+with the tolerances ``*_TOL`` that the reports also print. Every one of
+these solves goes through ``fwdops.arpack_eigenvalue``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fwdops import (  # lambda_max_gram: a binding the benchmark tracer wraps
-    EigenEstimate, ForwardOp, arpack_eigenvalue, arpack_start, check_len, l2_norm,
-    lambda_max_gram, solve_shifted_gram,
+    EigenEstimate, ForwardOp, arpack_eigenvalue, check_len, l2_norm, lambda_max_gram,
+    solve_shifted_gram,
 )
 from .imgcore import gaussian_noise  # unused here: a binding the benchmark tracer wraps
 from .kernel_denoise import KernelDenoiser, band_product
@@ -155,32 +156,22 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
     of the eigenvalue 1.
 
     The spectrum checks read the lowest and the two highest eigenvalues of W
-    from one sparse symmetric Lanczos solve (ARPACK ``eigsh``, both ends) on
-    W for dsg weights, or on its degree-symmetrized similar form
-    D^1/2 W D^-1/2 for nlm weights, applied as x -> s (W (x / s)) with
-    s = sqrt(D) and never built. The same path, with tolerance 1e-12, serves
-    every n >= 4; the start vector is ``fwdops.arpack_start``, so
-    reports are deterministic. If ARPACK does not converge, the spectrum
-    values are NaN and both spectrum verdicts are False.
+    from one symmetric Lanczos solve, ``fwdops.arpack_eigenvalue`` with "BE",
+    tol 1e-12 and 10 n restarts, whose size rule asks for n >= 4. It runs on W
+    for dsg weights, or on its similar form D^1/2 W D^-1/2 for nlm weights,
+    applied as x -> s (W (x / s)) with s = sqrt(D) and never built. If ARPACK
+    does not converge, the spectrum values are NaN and both verdicts False.
     """
-    # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     n = denoiser.n
     W = denoiser.bands
     ones = np.ones(n)
     defect = float(np.abs(band_product(W, ones) - ones).max())
     a_one = l2_norm(op.apply(ones))
     s = np.sqrt(denoiser.degrees)
-    sym = LinearOperator((n, n), dtype=np.float64, matvec=(
-        (lambda x: band_product(W, x)) if denoiser.mode == "dsg"
-        else lambda x: s * band_product(W, x / s)))
-    v0 = arpack_start(n)
-    try:
-        ends = eigsh(sym, k=3, which="BE", v0=v0, tol=1e-12, return_eigenvectors=False)
-    except ArpackNoConvergence:
-        ends = np.full(3, np.nan)  # NaN fails both comparisons below
-    low, second, high = (float(v) for v in np.sort(ends))
+    sym = ((lambda x: band_product(W, x)) if denoiser.mode == "dsg"
+           else lambda x: s * band_product(W, x / s))
+    ends = arpack_eigenvalue(sym, n, "BE", tol=1e-12, max_iter=10 * n, k=3)
+    low, second, high = (float(v) for v in ends.value)  # NaN fails both comparisons below
     return AssumptionChecks(
         stochastic_ok=defect <= STOCHASTIC_TOL,
         stochastic_defect=defect,

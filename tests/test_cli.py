@@ -299,10 +299,21 @@ class TestRun:
         assert capsys.readouterr().err.startswith("file format error:")
         assert not (tmp_path / "out").exists()
 
-    def test_image_below_2x2_rejected(self, tmp_path, capsys):
+    def test_one_row_image_runs_and_certifies(self, tmp_path):
+        # no size rule of its own: 8 pixels are enough for every eigensolve
         write_truth(tmp_path, 1, 8)
-        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_CONFIG
-        assert "at least 2x2" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_OK
+        assert (tmp_path / "out" / "certify.csv").read_text().endswith(",true\n")
+
+    def test_single_pixel_scaled_deblur_rejected(self, tmp_path, capsys):
+        # lambda_hat of the scaled Gram map is an eigsh solve, which needs n > 1
+        write_truth(tmp_path, 1, 1)
+        cfg_path = write_config(tmp_path, denoiser="nlm", algorithm="scaled_pnp_fista")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("validation error: ARPACK eigsh needs n > 1 ")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -537,6 +548,21 @@ class TestCertify:
         assert checked == [] and solved == []
         assert not (tmp_path / "out").exists()
 
+    def test_image_below_arpack_bound_rejected(self, tmp_path, monkeypatch, capsys):
+        import scipy.sparse.linalg as spla
+
+        # the assumption solve asks eigsh for 3 eigenvalues, so 3 pixels are
+        # too few; it fails before any eigensolve of P
+        solved = []
+        monkeypatch.setattr(spla, "eigs", spy(spla.eigs, 0, solved))
+        write_truth(tmp_path, 1, 3)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "validation error: ARPACK eigsh needs n > 3 for 3 eigenvalue(s), got n = 3\n"
+        assert solved == []
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_grid_value_rejected(self, tmp_path, capsys):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint")
@@ -659,6 +685,15 @@ class TestSchedules:
                      "--schedules", "beck", "--ref-iters", "0"])
         assert code == EXIT_CONFIG
 
+    def test_divergent_config_leaves_no_out(self, tmp_path, capsys):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", gamma=5000.0)
+        code = main(["schedules", "--config", str(cfg_path),
+                     "--schedules", "beck", "--ref-iters", "50"])
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err.startswith("divergence:")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_schedule_list_rejected(self, tmp_path):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path)
@@ -702,13 +737,15 @@ class TestDenoise:
                      "--out", str(tmp_path / "y.pgm")])
         assert code == EXIT_CONFIG
 
-    def test_single_pixel_rejected(self, tmp_path):
-        save_pgm(Image(np.zeros(1), 1, 1), tmp_path / "x.pgm")
+    def test_single_pixel_passes_through(self, tmp_path):
+        # one pixel's W is [1]: denoising returns the input
+        save_pgm(Image(np.full(1, 0.4), 1, 1), tmp_path / "x.pgm")
         save_pgm(Image(np.zeros(1), 1, 1), tmp_path / "g.pgm")
         code = main(["denoise", "--image", str(tmp_path / "x.pgm"),
                      "--guide", str(tmp_path / "g.pgm"),
                      "--out", str(tmp_path / "y.pgm")])
-        assert code == EXIT_CONFIG
+        assert code == EXIT_OK
+        assert (tmp_path / "y.pgm").read_bytes() == (tmp_path / "x.pgm").read_bytes()
 
 
 class TestCenterCrop:

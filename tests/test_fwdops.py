@@ -15,7 +15,7 @@ from pnpcert import (
     make_superres,
     observe,
 )
-from pnpcert.fwdops import save_mask_pgm
+from pnpcert.fwdops import arpack_eigenvalue, save_mask_pgm
 
 from conftest import ORACLE_OPERATORS, dense_forward, synthetic_image
 
@@ -263,6 +263,53 @@ class TestLambdaMax:
         est = lambda_max_gram(op, diag=diag)
         assert est.value == float((1.0 / diag[op.mask]).max())
         assert est.converged and est.iterations == 0
+
+
+def _symmetric_map(n, seed=4):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return (a + a.T) / 2
+
+
+class TestArpackEigenvalue:
+    @pytest.mark.parametrize("which, k, too_small", [("LM", 1, 2), ("SR", 1, 2),
+                                                     ("LA", 1, 1), ("BE", 3, 3)])
+    def test_size_rule_at_the_boundary(self, which, k, too_small):
+        # ARPACK needs n > k (eigsh) or n > k + 1 (eigs); scipy would raise TypeError
+        with pytest.raises(ValueError, match=f"needs n > {too_small} "):
+            arpack_eigenvalue(lambda x: x, too_small, which, 1e-10, 100, k=k)
+        n = too_small + 1
+        m = _symmetric_map(n)
+        est = arpack_eigenvalue(lambda x: m @ x, n, which, 1e-12, 100, k=k)
+        assert est.converged
+
+    def test_both_ends_ascending_match_dense(self):
+        m = _symmetric_map(12)
+        est = arpack_eigenvalue(lambda x: m @ x, 12, "BE", 1e-12, 120, k=3)
+        dense = np.linalg.eigvalsh(m)
+        assert est.converged
+        assert np.all(np.diff(est.value) > 0)
+        assert np.abs(est.value - dense[[0, -2, -1]]).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_convergence_gives_nan(self, k, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        m = _symmetric_map(8)
+        est = arpack_eigenvalue(lambda x: m @ x, 8, "BE", 1e-12, 80, k=k)
+        assert not est.converged
+        assert np.isnan(est.value).all() and np.size(est.value) == k
+
+    @pytest.mark.parametrize("which, k", [("LM", 1), ("LA", 1), ("BE", 3)])
+    def test_iterations_count_applications(self, which, k):
+        m = _symmetric_map(20)
+        calls = []
+        est = arpack_eigenvalue(lambda x: calls.append(1) or m @ x, 20, which, 1e-12, 200, k=k)
+        assert est.converged
+        assert est.iterations == len(calls) > 0
 
 
 class TestObserve:

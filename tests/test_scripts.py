@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pnpcert import save_pgm
-from pnpcert.cli import EXIT_CONFIG, main
+from pnpcert.cli import EXIT_CONFIG, EXIT_DIVERGENCE, main
 
 from conftest import run_script, script_exit_code, synthetic_image
 
@@ -73,4 +73,15 @@ def test_bad_option_exits_like_the_cli(tmp_path, monkeypatch, capsys, script, ar
     assert code == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()  # one line, no traceback
     assert line.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_divergent_comparison_leaves_no_out(tmp_path, monkeypatch, capsys):
+    image = tmp_path / "img.pgm"
+    save_pgm(synthetic_image(24, 24), image)
+    code = script_exit_code(monkeypatch, "schedule_comparison.py", str(image), "--crop", "16",
+                            "--gamma", "5000", "--ref-iters", "50",
+                            "--out", str(tmp_path / "out"))
+    assert code == EXIT_DIVERGENCE
+    assert capsys.readouterr().err.startswith("divergence:")
     assert not (tmp_path / "out").exists()
