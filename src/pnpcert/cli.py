@@ -273,15 +273,14 @@ def certify_grid(prob: Problem, grid, **eigensolver) -> list[spectral.SpectralRe
     ]
 
 
-def _load_reference(path, n: int) -> np.ndarray:
+def _load_reference(path, truth: Image) -> np.ndarray:
+    """The ``--ref-limit`` vector: a ``.npy`` array or a PGM with one entry per
+    pixel, judged by ``Image`` on the truth's grid, so real and finite."""
     p = Path(path)
-    if p.suffix == ".npy":
-        ref = np.load(p).reshape(-1)
-    else:
-        ref = load_pgm(p).data
-    if ref.size != n:
-        raise ConfigError(f"reference limit has {ref.size} entries, expected {n}")
-    return ref
+    ref = np.load(p) if p.suffix == ".npy" else load_pgm(p).data
+    if ref.size != truth.data.size:
+        raise ConfigError(f"reference limit has {ref.size} entries, expected {truth.data.size}")
+    return Image(ref, truth.rows, truth.cols).data
 
 
 def _write_summary(path, pairs) -> None:
@@ -301,7 +300,7 @@ def _fmt(value) -> str:
 def cmd_run(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     prob = build_problem(cfg)
-    x_ref = _load_reference(args.ref_limit, prob.op.n) if args.ref_limit else None
+    x_ref = _load_reference(args.ref_limit, prob.truth) if args.ref_limit else None
     schedule = solvers.parse_schedule(cfg.schedule)
     trace = run_solver(prob, schedule, _initial_vector(cfg, prob), x_ref=x_ref)
     out = Path(cfg.out)

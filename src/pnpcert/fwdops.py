@@ -60,7 +60,9 @@ def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int,
     comes back complex). ``check_arpack_args`` checks ``tol`` (relative) and
     ``max_iter`` (restart cap); ARPACK's size rule is checked here: ValueError
     unless n > k (eigsh) or n > k + 1 (eigs). For k > 1 the values come back
-    ascending. If ARPACK does not converge, every value is nan.
+    ascending. If ARPACK does not converge, every value is nan. On any other
+    ARPACK error, the map is applied to the start vector once more: an exactly
+    zero image (almost surely the zero map) gives 0.0 values, converged, else nan.
     """
     check_arpack_args(tol, max_iter)
     symmetric = which in ("LA", "BE")
@@ -69,7 +71,7 @@ def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int,
         solver = "eigsh" if symmetric else "eigs"
         raise ValueError(f"ARPACK {solver} needs n > {bound} for {k} eigenvalue(s), got n = {n}")
     # imported here: loading ARPACK costs about 8 MB of RSS that run never uses
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs, eigsh
 
     calls = 0
 
@@ -85,6 +87,9 @@ def arpack_eigenvalue(apply, n: int, which: str, tol: float, max_iter: int,
         )
     except ArpackNoConvergence:
         return EigenEstimate(float("nan") if k == 1 else np.full(k, np.nan), False, calls)
+    except ArpackError:  # e.g. -9, "starting vector is zero": the map sent it to 0
+        value = float("nan") if np.any(counted(arpack_start(n))) else 0.0
+        return EigenEstimate(value if k == 1 else np.full(k, value), value == 0.0, calls)
     if k > 1:
         return EigenEstimate(np.sort(mu), True, calls)
     (mu,) = mu

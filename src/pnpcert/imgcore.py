@@ -3,11 +3,14 @@
 Images are stored as flat row-major float64 vectors in nominal range [0, 1].
 Values are never clamped except when writing PGM output: the iterative
 reconstruction schemes are linear maps and clamping would break that.
+``Image`` is the one judge of pixel data, and ``load_pgm`` reads the Netpbm
+P5/P2 subset (maxval 255) with one compiled tokenizer, ``_TOKEN``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,8 @@ class PgmFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Image:
-    """Grayscale image as a flat row-major vector plus its grid dimensions."""
+    """Grayscale image as a flat row-major float64 vector plus its grid dimensions;
+    ValueError unless the data are real numbers, one per grid point, all finite."""
 
     data: np.ndarray
     rows: int
@@ -31,7 +35,10 @@ class Image:
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.rows}x{self.cols}")
-        data = np.asarray(self.data, dtype=np.float64).reshape(-1)
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "biuf":
+            raise ValueError(f"image data must be real numbers, got dtype {data.dtype}")
+        data = data.astype(np.float64, copy=False).reshape(-1)
         if data.size != self.rows * self.cols:
             raise ValueError(
                 f"data length {data.size} does not match {self.rows}x{self.cols}"
@@ -46,7 +53,7 @@ class Image:
 
     @classmethod
     def from_grid(cls, grid) -> "Image":
-        g = np.asarray(grid, dtype=np.float64)
+        g = np.asarray(grid)
         if g.ndim != 2:
             raise ValueError("expected a 2-D array")
         return cls(g.reshape(-1), g.shape[0], g.shape[1])
@@ -136,45 +143,28 @@ def gaussian_noise(rng: Rng, n: int, sigma: float) -> np.ndarray:
     return sigma * out
 
 
-def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited token, skipping '#' comments. Returns (token, next_pos)."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace() and buf[pos : pos + 1] != b"#":
-        pos += 1
-    return buf[start:pos], pos
-
-
-def _parse_header_int(buf: bytes, pos: int, field: str) -> tuple[int, int]:
-    tok, pos = _read_token(buf, pos)
-    try:
-        value = int(tok)
-    except ValueError:
-        raise PgmFormatError(f"invalid {field}: {tok!r}") from None
-    if value <= 0:
-        raise PgmFormatError(f"invalid {field}: {value}")
-    return value, pos
+# One PGM token: skip whitespace and '#' comments (each to the end of its line),
+# then take the bytes up to the next whitespace or '#'; empty only at the end.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def load_pgm(path) -> Image:
-    """Load a P5 (binary) or P2 (ASCII) PGM with maxval 255; pixels map to v/255."""
+    """Load a P5 (binary) or P2 (ASCII) PGM with maxval 255; pixels map to v/255.
+
+    ``_TOKEN`` reads the header and the P2 samples, all ASCII decimal digits."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    magic, pos = _read_token(buf, 0)
+    header = [_TOKEN.match(buf)]
+    for _ in range(3):  # width, height, maxval
+        header.append(_TOKEN.match(buf, header[-1].end()))
+    pos = header[-1].end()
+    magic, *sizes = (match[1] for match in header)
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"invalid magic: {magic!r}")
-    width, pos = _parse_header_int(buf, pos, "width")
-    height, pos = _parse_header_int(buf, pos, "height")
-    maxval, pos = _parse_header_int(buf, pos, "maxval")
+    for token, field in zip(sizes, ("width", "height", "maxval")):
+        if not token.isdigit() or int(token) == 0:
+            raise PgmFormatError(f"invalid {field}: {token!r}")
+    width, height, maxval = map(int, sizes)
     if maxval != 255:
         raise PgmFormatError(f"unsupported maxval: {maxval} (only 255)")
     n = width * height
@@ -183,20 +173,16 @@ def load_pgm(path) -> Image:
         payload = buf[pos : pos + n]
         if len(payload) < n:
             raise PgmFormatError(f"truncated payload: expected {n} bytes, got {len(payload)}")
-        values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+        values = np.frombuffer(payload, dtype=np.uint8)
     else:
-        values = np.empty(n)
-        for i in range(n):
-            tok, pos = _read_token(buf, pos)
-            if not tok:
-                raise PgmFormatError(f"truncated payload: expected {n} values, got {i}")
-            try:
-                v = int(tok)
-            except ValueError:
-                raise PgmFormatError(f"invalid payload value: {tok!r}") from None
-            if not 0 <= v <= 255:
-                raise PgmFormatError(f"invalid payload value: {v}")
-            values[i] = v
+        tokens = _TOKEN.findall(buf, pos)[:n]  # empty tokens only at the end
+        if (found := len(tokens) - tokens.count(b"")) < n:
+            raise PgmFormatError(f"truncated payload: expected {n} values, got {found}")
+        if not b"".join(tokens).isdigit():
+            raise PgmFormatError("invalid payload value: samples must be ASCII decimal digits")
+        values = np.array(tokens).astype(np.float64)
+        if values.max() > 255:
+            raise PgmFormatError(f"invalid payload value: {values.max():.0f}")
     return Image(values / 255.0, height, width)
 
 

@@ -135,7 +135,8 @@ def accelerated_radius(mu: float | complex) -> float:
 
 @dataclass
 class AssumptionChecks:
-    """Verdicts for the convergence preconditions of a denoiser/operator pair."""
+    """Verdicts for the convergence preconditions of a denoiser/operator pair, with
+    the convergence flag and W-application count of the Lanczos solve they read."""
 
     stochastic_ok: bool
     stochastic_defect: float
@@ -146,6 +147,8 @@ class AssumptionChecks:
     spectrum_high: float
     fix_ok: bool              # eigenvalue 1 is simple: fixed vectors are the constants
     second_eigenvalue: float
+    spectrum_converged: bool
+    spectrum_iterations: int
 
     def all_ok(self) -> bool:
         return self.stochastic_ok and self.forward_ok and self.spectrum_ok and self.fix_ok
@@ -182,6 +185,8 @@ def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
         spectrum_high=high,
         fix_ok=second <= 1.0 - FIX_GAP_TOL,
         second_eigenvalue=second,
+        spectrum_converged=ends.converged,
+        spectrum_iterations=ends.iterations,
     )
 
 
@@ -238,6 +243,8 @@ class SpectralReport:
             f"second_eigenvalue={a.second_eigenvalue!r}",
             f"check_fix_gap_tol={FIX_GAP_TOL!r}",
             "check_heuristic=false",
+            f"check_spectrum_converged={str(a.spectrum_converged).lower()}",
+            f"check_spectrum_iterations={a.spectrum_iterations}",
         ]
         return "\n".join(lines) + "\n"
 

@@ -284,6 +284,23 @@ class TestRun:
         assert "reference limit has 10 entries, expected 256" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("ref, message", [
+        (np.array(["0.5"] * 256), "real numbers"),
+        (np.full(256, 0.5 + 0.5j), "real numbers"),
+        (np.full(256, np.nan), "finite"),
+    ])
+    def test_non_real_or_non_finite_reference_writes_no_out(self, tmp_path, capsys, ref,
+                                                           message):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, max_iter=20)
+        np.save(tmp_path / "ref.npy", ref)
+        argv = ["run", "--config", str(cfg_path), "--ref-limit", str(tmp_path / "ref.npy")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_equals_config_seed(self, tmp_path):
         write_truth(tmp_path)
         cfg_path = write_config(tmp_path, task="inpaint", out=tmp_path / "flag")
@@ -468,6 +485,17 @@ class TestCertify:
             kv = read_kv(tmp_path / "out" / "reports" / f"pnp_fista_{name}.txt")
             assert kv["rho_P_converged"] == "true" and float(kv["rho_R"]) > 1.0
 
+    def test_zero_map_certifies(self, tmp_path):
+        # every pixel observed: A^T A = I, so at grid value 1 the map is W (I - A^T A) = 0
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", mask_fraction=1)
+        assert main(["certify", "--config", str(cfg_path), "--grid", "0.5,1.0"]) == EXIT_OK
+        rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[1:]
+        assert rows[1] == "inpaint,dsg,1.0,0.0,0.0,true"
+        kv = read_kv(tmp_path / "out" / "reports" / "pnp_fista_1.txt")
+        assert (kv["rho_P"], kv["rho_R"], kv["certified"]) == ("0.0", "0.0", "true")
+        assert kv["rho_P_converged"] == "true"
+
     def test_eigensolver_failure_is_reported(self, tmp_path, monkeypatch):
         import scipy.sparse.linalg as spla
 
@@ -483,6 +511,7 @@ class TestCertify:
         assert kv["check_spectrum"] == "false"
         assert kv["check_fix_simple"] == "false"
         assert kv["check_spectrum_low"] == kv["second_eigenvalue"] == "nan"
+        assert kv["check_spectrum_converged"] == "false"
 
     def test_nlm_sweep_scales_no_band_set_on_both_sides(self, tmp_path, monkeypatch):
         from pnpcert import kernel_denoise

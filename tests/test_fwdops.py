@@ -303,6 +303,28 @@ class TestArpackEigenvalue:
         assert not est.converged
         assert np.isnan(est.value).all() and np.size(est.value) == k
 
+    @pytest.mark.parametrize("which", ["LM", "SR", "LA", "BE"])
+    def test_zero_map_gives_zeros(self, which):
+        # ARPACK stops with error -9 when the map sends its start vector to 0
+        calls = []
+        est = arpack_eigenvalue(lambda x: calls.append(1) or 0.0 * x, 20, which, 1e-8, 100, k=3)
+        assert est.converged
+        assert est.value.tolist() == [0.0, 0.0, 0.0]
+        assert est.iterations == len(calls) > 0
+
+    def test_other_arpack_error_on_nonzero_map_gives_nan(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def arpack_error(*args, **kwargs):
+            raise spla.ArpackError(-9999)
+
+        monkeypatch.setattr(spla, "eigs", arpack_error)
+        m = _symmetric_map(8)
+        calls = []
+        est = arpack_eigenvalue(lambda x: calls.append(1) or m @ x, 8, "LM", 1e-8, 80)
+        assert not est.converged and np.isnan(est.value)
+        assert est.iterations == len(calls) == 1
+
     @pytest.mark.parametrize("which, k", [("LM", 1), ("LA", 1), ("BE", 3)])
     def test_iterations_count_applications(self, which, k):
         m = _symmetric_map(20)

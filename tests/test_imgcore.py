@@ -107,6 +107,14 @@ class TestImage:
         with pytest.raises(ValueError):
             Image(np.array([0.0, np.inf, 0.0, 0.0]), 2, 2)
 
+    @pytest.mark.parametrize("data", [np.array(["0.5"] * 4), np.full(4, 0.5 + 1j),
+                                      np.array([None] * 4)])
+    def test_non_real_rejected(self, data):
+        with pytest.raises(ValueError, match="real numbers"):
+            Image(data, 2, 2)
+        with pytest.raises(ValueError, match="real numbers"):
+            Image.from_grid(data.reshape(2, 2))
+
     def test_grid_roundtrip(self):
         g = synthetic_grid(4, 6)
         img = Image.from_grid(g)
@@ -154,8 +162,8 @@ class TestPgm:
 
     def test_truncated_p2(self, tmp_path):
         path = tmp_path / "a.pgm"
-        path.write_text("P2\n4 4\n255\n1 2 3\n")
-        with pytest.raises(PgmFormatError, match="payload"):
+        path.write_text("P2\n4 4\n255\n1 2 3 # three\n")
+        with pytest.raises(PgmFormatError, match="truncated payload: expected 16 values, got 3"):
             load_pgm(path)
 
     def test_bad_width(self, tmp_path):
@@ -163,6 +171,54 @@ class TestPgm:
         path.write_text("P2\nxx 4\n255\n0\n")
         with pytest.raises(PgmFormatError, match="width"):
             load_pgm(path)
+
+    @pytest.mark.parametrize("field, index", [("width", 1), ("height", 2), ("maxval", 3)])
+    @pytest.mark.parametrize("token", ["0", "x7", "+5", "1_0", None])
+    def test_bad_header_field_names_it(self, tmp_path, field, index, token):
+        header = ["P2", "2", "1", "255"]
+        if token is None:  # missing: the file ends before the field
+            header = header[:index]
+        else:
+            header[index] = token
+        path = tmp_path / "a.pgm"
+        path.write_text(" ".join(header) + ("\n0 0\n" if token is not None else ""))
+        with pytest.raises(PgmFormatError, match=field):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("sample", ["256", "1000", "-1", "+5", "1_0", "7e1", "0x10", "1\x00"])
+    def test_bad_sample_rejected(self, tmp_path, sample):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n0 " + sample.encode() + b"\n")
+        with pytest.raises(PgmFormatError, match="payload value"):
+            load_pgm(path)
+
+    def test_trailing_bytes_after_raster_ignored(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_text("P2 2 1 255 7 0255 junk # end 3\n")
+        assert load_pgm(path).data.tolist() == [7 / 255, 1.0]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_p2_rewrite_of_p5_loads_bitwise_equal(self, data):
+        rows = data.draw(st.integers(1, 6), label="rows")
+        cols = data.draw(st.integers(1, 6), label="cols")
+        pixels = data.draw(st.binary(min_size=rows * cols, max_size=rows * cols), label="pixels")
+        gap = st.lists(
+            st.one_of(st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\f", "\v"]),
+                      st.text("ab 1#\t", max_size=5).map(lambda t: f"#{t}\n")),
+            max_size=3,
+        ).map("".join)
+        # a separator is whitespace with comments, or a comment glued to the token before it
+        sep = st.one_of(gap.map(lambda g: " " + g), gap.map(lambda g: "#c\n" + g))
+        tokens = ["P2", str(cols), str(rows), "255", *map(str, pixels)]
+        text = data.draw(gap) + "".join(t + data.draw(sep) for t in tokens)
+        with tempfile.TemporaryDirectory() as tmp:
+            p5, p2 = Path(tmp) / "a.pgm", Path(tmp) / "b.pgm"
+            p5.write_bytes(f"P5\n{cols} {rows}\n255\n".encode() + pixels)
+            p2.write_bytes(text.encode())
+            a, b = load_pgm(p5), load_pgm(p2)
+        assert (b.rows, b.cols) == (a.rows, a.cols) == (rows, cols)
+        assert a.data.tobytes() == b.data.tobytes()
 
     def test_save_halfgray(self, tmp_path):
         img = Image(np.full(4, 0.5), 2, 2)

@@ -25,7 +25,7 @@ from pnpcert import (
     observe,
     spectral_radius,
 )
-from pnpcert import kernel_denoise
+from pnpcert import kernel_denoise, spectral
 from pnpcert.kernel_denoise import KernelDenoiser
 from pnpcert.spectral import SpectralReport, build_report
 from scipy import sparse
@@ -409,10 +409,23 @@ class TestCheckAssumption:
         op, _, den = small_problem()
         checks = check_assumption(den, op)
         assert np.isnan([checks.spectrum_low, checks.second_eigenvalue, checks.spectrum_high]).all()
-        assert not checks.spectrum_ok
+        assert not checks.spectrum_ok and not checks.spectrum_converged
         assert not checks.fix_ok
         assert not checks.all_ok()
         assert checks.stochastic_ok and checks.forward_ok
+
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    def test_spectrum_iterations_count_applications_of_w(self, mode, monkeypatch):
+        op, _, _ = small_problem()
+        den = build_denoiser(synthetic_image(8, 8), KernelParams(1, 2, 0.15, "hat"), mode)
+        products = []
+        band_product = spectral.band_product
+        monkeypatch.setattr(spectral, "band_product",
+                            lambda W, x: products.append(1) or band_product(W, x))
+        checks = check_assumption(den, op)
+        assert checks.spectrum_converged
+        # one product for the row sums, then one per Lanczos step
+        assert checks.spectrum_iterations == len(products) - 1 > 0
 
     def test_zero_forward_fails(self):
         _, _, den = small_problem()
@@ -527,6 +540,17 @@ class TestReport:
         assert not report.rho_step.converged and not report.certified
         assert np.isnan(report.rho_step.value) and np.isnan(report.rho_accel)
         assert "rho_P=nan" in report.to_kv() and report.csv_row().endswith(",nan,nan,false")
+
+    def test_solve_keys_appended_after_heuristic(self):
+        op, _, den = small_problem()
+        lam_hat = lambda_max_gram(op).value
+        checks = check_assumption(den, op)
+        report = build_report("inpaint", IterationOperator("pnp", op, den, 0.9 / lam_hat), 0.9,
+                              lam_hat, checks)
+        assert report.to_kv().splitlines()[-3:] == [
+            "check_heuristic=false", "check_spectrum_converged=true",
+            f"check_spectrum_iterations={checks.spectrum_iterations}",
+        ]
 
     def test_header_shape(self):
         from pnpcert.spectral import SWEEP_CSV_HEADER
