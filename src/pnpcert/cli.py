@@ -274,10 +274,16 @@ def certify_grid(prob: Problem, grid, **eigensolver) -> list[spectral.SpectralRe
 
 
 def _load_reference(path, truth: Image) -> np.ndarray:
-    """The ``--ref-limit`` vector: a ``.npy`` array or a PGM with one entry per
-    pixel, judged by ``Image`` on the truth's grid, so real and finite."""
+    """The ``--ref-limit`` vector: a ``.npy`` array with one entry per pixel or
+    a PGM on the truth's grid, judged by ``Image`` on that grid, so real and finite."""
     p = Path(path)
-    ref = np.load(p) if p.suffix == ".npy" else load_pgm(p).data
+    if p.suffix != ".npy":
+        ref = load_pgm(p)
+        if (ref.rows, ref.cols) != (truth.rows, truth.cols):
+            raise ConfigError(f"reference limit is {ref.rows}x{ref.cols}, "
+                              f"expected {truth.rows}x{truth.cols}")
+        return ref.data
+    ref = np.load(p)
     if ref.size != truth.data.size:
         raise ConfigError(f"reference limit has {ref.size} entries, expected {truth.data.size}")
     return Image(ref, truth.rows, truth.cols).data

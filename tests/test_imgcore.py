@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnpcert import Image, Rng, gaussian_noise, load_pgm, psnr, save_pgm, ssim
+from pnpcert import Image, Rng, gaussian_noise, load_pgm, make_inpaint, psnr, save_pgm, ssim
 from pnpcert.imgcore import PgmFormatError
 
 from conftest import synthetic_grid
@@ -42,6 +43,127 @@ def _ref_xoshiro(seed, count):
         s[2] ^= t
         s[3] = rotl(s[3], 45)
     return out
+
+
+def _ref_uniforms(raw):
+    return [(v >> 11) * 2.0**-53 for v in raw]
+
+
+def _ref_fisher_yates(items, raw):
+    items = list(items)
+    for i, v in zip(range(len(items) - 1, 0, -1), raw):
+        j = v % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def _ref_box_muller(raw, n):
+    u = _ref_uniforms(raw)
+    out = []
+    for u1, u2 in zip(u[0::2], u[1::2]):
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:n]
+
+
+# sizes around the lane boundaries of u64s (lanes of ceil(sqrt(n)) outputs)
+STREAM_SIZES = sorted({0, 1, 2, 3, 1000, 65535,
+                       *(k * k + d for k in range(2, 6) for d in (-1, 0, 1))})
+
+# sha256 of the mask bytes (inpaint), then the noise bytes, that build_problem
+# draws for each benchmark instance, keyed by (task, side, seed); frozen from
+# the scalar stream that u64s replaced
+GOLDEN_DRAWS = {
+    ("inpaint", 256, 0): "be0646a946641cfd001aa98eec51c66c894886d2a93fd825ee671127933bf16c",
+    ("inpaint", 256, 7): "01db0cef2406fd753d486d3015cd99182ee5d013a8643cd4e382709bd2cf78f4",
+    ("inpaint", 72, 0): "14ed2fb9fcb36651996695792a5c16c66a690f52ca674e7b75963bf6d8c5a1fe",
+    ("inpaint", 72, 7): "208fa94ba3315a2ab7558844203ef13384e8b2486dab71d2dfd741c13533ae51",
+    ("deblur", 48, 0): "e077b11a8b2f92276abc52b1433e8be71ae851e2e042d3451cfeab586ae6d8d0",
+    ("deblur", 48, 7): "25331dd45c13701778857df6a1b26cd421a4b346314434ac72de4eb999742e18",
+    ("deblur", 64, 0): "9e2d4b4ceb4faf87ea2355b59c0915ccd86c3594a95e3e129edc74ea21d9dd98",
+    ("deblur", 64, 7): "79b955155b62d970d3db11af769e3d9ef1deaa0507b74dcdb8b95ee6bc8e4f9d",
+    ("superres", 64, 0): "c09d8e5e4abba46b1840aa5bc33ed6a159d2e81de1f4df542c1db9f8f4029f3a",
+    ("superres", 64, 7): "3ab9e3bff4edbd2c6796d201bd5807b19302eb52e2c5891ff71677eb8c2ec725",
+}
+
+
+class TestBulkStream:
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_u64s_is_the_reference_stream_and_leaves_its_state(self, n):
+        rng = Rng(99)
+        ref = _ref_xoshiro(99, n + 1)
+        got = rng.u64s(n)
+        assert got.dtype == np.uint64
+        assert got.tolist() == ref[:n]
+        assert rng.u64() == ref[n]
+
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 300), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_draws_in_sequence_equal_one_draw(self, seed, sizes):
+        a, b = Rng(seed), Rng(seed)
+        parts = np.concatenate([a.u64s(k) for k in sizes])
+        assert np.array_equal(parts, b.u64s(sum(sizes)))
+        assert a.u64() == b.u64()
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.u64s(-1),
+        lambda rng: rng.uniforms(-1),
+        lambda rng: gaussian_noise(rng, -1, 1.0),
+    ])
+    def test_negative_count_rejected_naming_it(self, draw):
+        with pytest.raises(ValueError, match="got -1"):
+            draw(Rng(1))
+
+    def test_uniforms_are_the_uniform_protocol(self):
+        rng = Rng(3)
+        ref = _ref_xoshiro(3, 101)
+        assert rng.uniforms(100).tolist() == _ref_uniforms(ref[:100])
+        assert rng.u64() == ref[100]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 257, 5184])
+    def test_shuffle_is_reference_fisher_yates(self, n):
+        draws = max(n - 1, 0)
+        ref = _ref_xoshiro(5, draws + 1)
+        expected = _ref_fisher_yates(range(n), ref)
+        rng = Rng(5)
+        items = np.arange(n)
+        rng.shuffle(items)
+        assert items.tolist() == expected
+        assert rng.u64() == ref[draws]
+        values = np.linspace(0.0, 1.0, n)
+        shuffled = values.copy()
+        Rng(5).shuffle(shuffled)
+        assert shuffled.tolist() == values[expected].tolist()
+        pairs = np.stack([np.arange(n), -np.ones(n, dtype=int)], axis=1)
+        Rng(5).shuffle(pairs[:, 0])  # a strided view, shuffled in place
+        assert pairs[:, 0].tolist() == expected
+        assert (pairs[:, 1] == -1).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 4097])
+    def test_gaussian_noise_is_reference_box_muller(self, n):
+        draws = n + n % 2
+        ref = _ref_xoshiro(8, draws + 1)
+        rng = Rng(8)
+        got = gaussian_noise(rng, n, 0.5)
+        assert got.tolist() == [0.5 * v for v in _ref_box_muller(ref, n)]
+        assert rng.u64() == ref[draws]
+
+    def test_sigma_zero_draws_nothing(self):
+        rng = Rng(1)
+        gaussian_noise(rng, 10, 0.0)
+        assert rng.u64() == _ref_xoshiro(1, 1)[0]
+
+    @pytest.mark.parametrize("task, side, seed", sorted(GOLDEN_DRAWS))
+    def test_benchmark_instance_draws_are_frozen(self, task, side, seed):
+        rng = Rng(seed)
+        digest = hashlib.sha256()
+        m = side * side if task == "deblur" else (side // 2) ** 2  # superres: factor 2
+        if task == "inpaint":
+            op = make_inpaint(side, side, 0.3, rng)
+            digest.update(op.mask.tobytes())
+            m = op.m
+        digest.update(gaussian_noise(rng, m, 0.03).tobytes())
+        assert digest.hexdigest() == GOLDEN_DRAWS[task, side, seed]
 
 
 class TestRng:
