@@ -14,7 +14,7 @@ at grid value ``gamma`` (1/L for red_apg), so they iterate the map
 ``certify`` certifies. The ``cg_tol`` and ``cg_max_iter`` keys are accepted
 and have no effect: the quadratic prox is solved exactly.
 
-Exit codes (``exit_code``): 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
+Exit codes (``main``): 0 success, 2 config/validation error, 3 divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -398,36 +398,34 @@ def cmd_certify(args) -> int:
 
 
 def cmd_schedules(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
-    compare_schedules(cfg, args.schedules, args.ref_iters)
-    return EXIT_OK
-
-
-def compare_schedules(cfg: ExperimentConfig, spec_list: str, ref_iters: int) -> None:
-    """Trace each comma-separated schedule spec against a ``ref_iters``-step
+    """Trace each comma-separated schedule spec against a ``--ref-iters``-step
     beck reference run; write reference.npy and schedule_<name>.csv files,
     creating ``out/`` only after every run has returned."""
-    if ref_iters <= 0:
+    cfg = _apply_overrides(parse_config(args.config), args)
+    if args.ref_iters <= 0:
         raise ConfigError("a positive --ref-iters reference run is required")
-    specs = [s.strip() for s in spec_list.split(",") if s.strip()]
+    specs = [s.strip() for s in args.schedules.split(",") if s.strip()]
     if not specs:
         raise ConfigError("at least one schedule is required")
     schedules = [solvers.parse_schedule(s) for s in specs]
+    names = [f"schedule_{_slug(sched.label())}.csv" for sched in schedules]
+    if len(set(names)) != len(names):
+        raise ConfigError("schedules must be distinct: each names a CSV file")
     prob = build_problem(cfg)
     x0 = _initial_vector(cfg, prob)
     ref = run_solver(
         prob, solvers.MomentumSchedule("beck"), x0,
-        max_iter=ref_iters, stop_tol=0.0,
+        max_iter=args.ref_iters, stop_tol=0.0,
     )
     traces = [run_solver(prob, sched, x0, x_ref=ref.final) for sched in schedules]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "reference.npy", ref.final)
-    for sched, trace in zip(schedules, traces):
-        path = out / f"schedule_{_slug(sched.label())}.csv"
-        trace.write_csv(path)
+    for sched, name, trace in zip(schedules, names, traces):
+        trace.write_csv(out / name)
         print(f"{sched.label()}: {trace.iterations} iterations, final distance "
-              f"{trace.dist_to_ref[-1]:.3e} -> {path}")
+              f"{trace.dist_to_ref[-1]:.3e} -> {out / name}")
+    return EXIT_OK
 
 
 def cmd_denoise(args) -> int:
@@ -501,11 +499,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def exit_code(command, *args) -> int:
-    """``command(*args)``'s exit code, for ``main`` and the experiment scripts:
-    an expected error prints one line to stderr and gives its class's code."""
+def main(argv=None) -> int:
+    """Run one command; an expected error prints one line to stderr and
+    returns its class's exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return command(*args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -521,11 +520,6 @@ def exit_code(command, *args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -93,11 +93,11 @@ class Rng:
     (uniforms, Gaussian pairs, bounded integers) is pinned to a fixed protocol,
     so that a given seed reproduces the same stream bit-for-bit on any platform:
 
-    * ``uniform`` takes the top 53 bits of the next output: ``(u64 >> 11) * 2**-53``.
+    * ``uniforms`` takes the top 53 bits of each output: ``(u64 >> 11) * 2**-53``.
     * Gaussian values come from Box-Muller on consecutive uniform pairs
       ``(u1, u2)``, cosine branch first, with ``log(1 - u1)`` so the argument
       stays positive.
-    * ``below(b)`` reduces the next output modulo ``b``.
+    * ``shuffle`` reduces each output modulo its bound ``i + 1``.
     """
 
     def __init__(self, seed: int):
@@ -139,25 +139,14 @@ class Rng:
             out[:, j] = _step(s)
         return out.reshape(-1)[:n]
 
-    def u64(self) -> int:
-        return int(self.u64s(1)[0])
-
-    def uniform(self) -> float:
-        return (self.u64() >> 11) * 2.0**-53
-
-    def below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.u64() % bound
-
     def uniforms(self, n: int) -> np.ndarray:
-        """The next n uniforms in [0, 1), each ``uniform``'s protocol."""
+        """The next n uniforms in [0, 1), the top 53 bits of each output."""
         return (self.u64s(n) >> 11) * 2.0**-53
 
     def shuffle(self, items: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle of an array's first axis: for i from
-        len - 1 down to 1, swap entries i and ``below(i + 1)``. The draws are
-        reduced in one call; the swaps permute indices through a memoryview,
+        len - 1 down to 1, swap entries i and (next output mod i + 1). The draws
+        are reduced in one call; the swaps permute indices through a memoryview,
         which reads and writes Python ints, and one gather applies them."""
         n = len(items)
         bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n - 1 ... 1
@@ -181,6 +170,7 @@ def gaussian_noise(rng: Rng, n: int, sigma: float) -> np.ndarray:
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
+        rng.u64s(min(n, 0))  # judges n as every draw count is, and draws nothing
         return np.zeros(n)
     # whole pairs, through u64s (n < 0 reaches it and is rejected); not through
     # rng.uniforms, which the benchmark tracer times as a span of its own

@@ -64,6 +64,8 @@ class MomentumSchedule:
     def __post_init__(self):
         if self.kind not in ("beck", "chambolle", "log1p", "geometric", "constant"):
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.c)):
+            raise ValueError(f"schedule parameters must be finite: a={self.a!r}, c={self.c!r}")
         if self.kind == "chambolle" and self.a <= 2:
             raise ValueError("chambolle offset must exceed 2")
 

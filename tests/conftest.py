@@ -191,20 +191,14 @@ def reference_dsg(K: sparse.csr_matrix, band_order: bool = False,
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def script_exit_code(monkeypatch, name: str, *argv: str) -> int:
+def run_script(monkeypatch, name: str, *argv: str) -> None:
     """Run scripts/<name> as ``python scripts/<name> argv...`` would, in-process,
-    and return its exit code (0 when it ends without ``sys.exit``)."""
+    and require it to end without ``sys.exit`` or with exit code 0."""
     monkeypatch.setattr(sys, "argv", [name, *argv])
     try:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     except SystemExit as exc:
-        return exc.code
-    return 0
-
-
-def run_script(monkeypatch, name: str, *argv: str) -> None:
-    """Run scripts/<name> in-process and require exit code 0."""
-    assert script_exit_code(monkeypatch, name, *argv) == 0
+        assert exc.code == 0
 
 
 def dense_forward(op):

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnpcert import Image, gaussian_kernel, load_pgm, make_superres, save_pgm, solvers, spectral
+from pnpcert import (
+    Image, cli, gaussian_kernel, load_pgm, make_superres, save_pgm, solvers, spectral,
+)
 from pnpcert.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -130,7 +132,7 @@ class TestParseConfig:
         ("stop_tol", "stop_tol"), ("bandwidth", "bandwidth"),
     ])
     def test_direct_config_rejects_non_finite_floats(self, name, key):
-        # the scripts build ExperimentConfig without parse_config
+        # --gamma reaches the config through dataclasses.replace, not parse_config
         with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
             ExperimentConfig(**{name: float("inf")})
 
@@ -741,6 +743,34 @@ class TestSchedules:
         code = main(["schedules", "--config", str(cfg_path),
                      "--schedules", ",", "--ref-iters", "10"])
         assert code == EXIT_CONFIG
+
+    def test_colliding_schedules_rejected_before_the_problem(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # constant(1e-9) and constant(1.0000001e-9) both label as constant(1e-09)
+        built = []
+        monkeypatch.setattr(cli, "build_problem", spy(cli.build_problem, 0, built))
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint")
+        for specs in ("constant(1e-9),constant(1.0000001e-9)", "beck,beck"):
+            code = main(["schedules", "--config", str(cfg_path),
+                         "--schedules", specs, "--ref-iters", "10"])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: schedules must be distinct: each names a CSV file\n")
+        assert built == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, over, prefix", [
+        (["run"], {"schedule": "constant(nan)"}, "config error: "),
+        (["schedules", "--schedules", "chambolle(inf)"], {}, "validation error: "),
+    ])
+    def test_non_finite_schedule_parameter_rejected(self, tmp_path, capsys, argv, over,
+                                                    prefix):
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", **over)
+        assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(prefix + "schedule parameters must be finite")
+        assert not (tmp_path / "out").exists()
 
 
 class TestDenoise:

@@ -432,7 +432,7 @@ class TestApplyW:
         rng = Rng(seed)
         x = gaussian_noise(rng, 16, 1.0)
         y = gaussian_noise(rng, 16, 1.0)
-        a, b = rng.uniform(), rng.uniform()
+        a, b = rng.uniforms(2)
         lhs = apply_w(den, a * x + b * y)
         rhs = a * apply_w(den, x) + b * apply_w(den, y)
         assert np.abs(lhs - rhs).max() <= 1e-12

@@ -109,6 +109,12 @@ class TestAlpha:
         with pytest.raises(ValueError):
             parse_schedule("nope")
 
+    @pytest.mark.parametrize("spec", ["chambolle(inf)", "chambolle(nan)", "constant(nan)",
+                                      "constant(-inf)"])
+    def test_non_finite_parameter_rejected(self, spec):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_schedule(spec)
+
 
 class TestProxQuadratic:
     def test_tiny_mu_is_identity(self):

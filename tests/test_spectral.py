@@ -493,8 +493,8 @@ class TestSpectrumInContractiveInterval:
             op = make_superres(8, 8, gaussian_kernel(5, 1.5), 2)
         den = build_denoiser(truth, KernelParams(1, 2, 0.15, "hat"), "dsg")
         bound = 1.0 / lambda_max_gram(op).value
-        for _ in range(7):
-            gamma = (0.02 + 0.96 * rng.uniform()) * bound
+        for u in rng.uniforms(7):
+            gamma = (0.02 + 0.96 * u) * bound
             it = IterationOperator("pnp", op, den, gamma)
             _, eig = dense_oracle(it.apply, op.n)
             re, im = np.real(eig), np.imag(eig)
