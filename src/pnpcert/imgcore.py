@@ -122,11 +122,12 @@ class Rng:
             raise ValueError(f"draw count must be nonnegative, got {n}")
         lane = math.isqrt(n) + 1
         lanes = n // lane + 1
-        # unit state i has bit i % 64 of word i // 64 set
-        jump = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
-        jump = jump.T.astype(np.uint64)
-        for _ in range(lane):
-            _step(jump)
+        if lanes > 1:  # one lane, for n <= 1, never reads the table
+            # unit state i has bit i % 64 of word i // 64 set
+            jump = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
+            jump = jump.T.astype(np.uint64)
+            for _ in range(lane):
+                _step(jump)
         s = np.empty((4, lanes), dtype=np.uint64)
         s[:, 0] = self._s
         for k in range(1, lanes):

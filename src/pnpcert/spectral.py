@@ -55,9 +55,9 @@ class IterationOperator:
     W's does and, for the pnp kinds, gamma <= 1 / lambda_max of the (scaled)
     Gram map, for which 1 / lambda_max(A^T A) is a D-free lower bound, as
     all degrees are >= 1. Above that, P can have an eigenvalue below -1/3,
-    and the iteration diverges; ``build_report`` rates it. pnp and red with
-    nlm weights lie outside the paper's theorem: on blur P then has complex
-    eigenvalues.
+    and the iteration diverges; ``build_report`` rates it. With nlm weights,
+    pnp and red are inside the theorem on inpainting, where A^T A commutes
+    with D; on blur their P has complex eigenvalues.
     """
 
     kind: str
@@ -149,9 +149,6 @@ class AssumptionChecks:
     second_eigenvalue: float
     spectrum_converged: bool
     spectrum_iterations: int
-
-    def all_ok(self) -> bool:
-        return self.stochastic_ok and self.forward_ok and self.spectrum_ok and self.fix_ok
 
 
 def check_assumption(denoiser: KernelDenoiser, op) -> AssumptionChecks:
@@ -264,8 +261,8 @@ def build_report(
     operator; it does not depend on the grid value, so sweeps compute it once.
     The rate is that of P's largest-modulus eigenvalue. Where the theorem's
     hypotheses do not put P's spectrum in [0, inf) -- a pnp step fraction
-    above 1, nlm weights outside the scaled kind, or a failed spectrum check
-    -- the eigenvalue of smallest real part is rated too, and the worse rate
+    above 1, nlm pnp or red off inpainting, or a failed spectrum check --
+    the eigenvalue of smallest real part is rated too, and the worse rate
     counts. ``power_tol``/``power_max_iter`` are ARPACK's tol/maxiter.
     """
     est = spectral_radius(iter_op, tol=power_tol, max_iter=power_max_iter)
@@ -273,7 +270,8 @@ def build_report(
     in_theorem = (
         checks.spectrum_ok
         and (iter_op.kind == "red" or grid_value <= 1.0)
-        and (iter_op.kind == "scaled_pnp" or iter_op.denoiser.mode == "dsg")
+        and (iter_op.kind == "scaled_pnp" or iter_op.denoiser.mode == "dsg"
+             or iter_op.op.kind == "inpaint")
     )
     if not in_theorem:
         low = arpack_eigenvalue(iter_op.apply, iter_op.n, "SR", power_tol, power_max_iter)

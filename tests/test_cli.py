@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pnpcert import (
-    Image, cli, gaussian_kernel, load_pgm, make_superres, save_pgm, solvers, spectral,
+    Image, accelerated_radius, cli, gaussian_kernel, load_pgm, make_superres, save_pgm,
+    solvers, spectral,
 )
 from pnpcert.cli import (
     EXIT_CONFIG,
@@ -22,7 +23,7 @@ from pnpcert.cli import (
     parse_config,
 )
 
-from conftest import dense_forward, run_script, synthetic_image
+from conftest import dense_forward, materialize, run_script, synthetic_image
 
 
 def write_truth(tmp_path, rows=16, cols=16):
@@ -498,6 +499,55 @@ class TestCertify:
         for name in ("1_5", "1_9", "2_5", "4"):
             kv = read_kv(tmp_path / "out" / "reports" / f"pnp_fista_{name}.txt")
             assert kv["rho_P_converged"] == "true" and float(kv["rho_R"]) > 1.0
+
+    @pytest.mark.parametrize("over, grid, low_solves", [
+        ({"algorithm": "pnp_fista"}, "0.5,0.9", 0),
+        ({"algorithm": "red_apg"}, "0.5,1.0", 0),
+        ({"algorithm": "pnp_fista"}, "1.2", 1),
+        ({"algorithm": "pnp_fista", "window_shape": "box"}, "0.5", 1),
+    ])
+    def test_nlm_inpainting_is_rated_by_one_solve(self, tmp_path, monkeypatch, over, grid,
+                                                  low_solves):
+        # A^T A = Pi_O commutes with D, so with a passing spectrum check and a
+        # pnp fraction <= 1 P's spectrum lies in [0, 1] and its largest-modulus
+        # eigenvalue sets the rate; past 1 or on an indefinite W the
+        # smallest-real-part solve still runs
+        which, maps = [], []
+        monkeypatch.setattr(spectral, "arpack_eigenvalue",
+                            spy(spectral.arpack_eigenvalue, 2, which))
+        monkeypatch.setattr(spectral, "build_report", spy(spectral.build_report, 1, maps))
+        write_truth(tmp_path)
+        cfg_path = write_config(tmp_path, task="inpaint", denoiser="nlm", **over)
+        assert main(["certify", "--config", str(cfg_path), "--grid", grid]) == EXIT_OK
+        assert which.count("SR") == low_solves
+        rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[1:]
+        reports = [read_kv(p) for p in sorted((tmp_path / "out" / "reports").glob("*.txt"))]
+        assert {kv["check_spectrum"] for kv in reports} == {
+            "false" if over.get("window_shape") == "box" else "true"}
+        if low_solves == 0:
+            for row, it in zip(rows, maps):
+                rate = max(map(accelerated_radius, np.linalg.eigvals(materialize(it.apply, it.n))))
+                assert float(row.split(",")[4]) == pytest.approx(rate, abs=1e-8)
+
+    @pytest.mark.parametrize("algorithm, grid", [("pnp_fista", "0.9"), ("red_apg", "1.0")])
+    def test_nlm_inpainting_certifies_within_fifty_restarts(self, tmp_path, monkeypatch,
+                                                            algorithm, grid):
+        # the rate solve converges within 50 restarts; the smallest-real-part
+        # solve, which cannot change the rate here, did not, and gave rho_R = nan
+        image = tmp_path / "smoke.pgm"
+        run_script(monkeypatch, "make_test_image.py", "--rows", "32", "--cols", "32",
+                   "--out", str(image))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"task = inpaint\nimage = {image}\ncrop = 0\ndenoiser = nlm\n"
+                            f"window_shape = hat\nalgorithm = {algorithm}\n"
+                            f"out = {tmp_path / 'out'}\n")
+        code = main(["certify", "--config", str(cfg_path), "--grid", grid,
+                     "--power-max-iter", "50"])
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "certify.csv").read_text().endswith(",true\n")
+        (report,) = (tmp_path / "out" / "reports").glob("*.txt")
+        kv = read_kv(report)
+        assert kv["rho_P_converged"] == "true" and float(kv["rho_R"]) < 1.0
 
     def test_zero_map_certifies(self, tmp_path):
         # every pixel observed: A^T A = I, so at grid value 1 the map is W (I - A^T A) = 0

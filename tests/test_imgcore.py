@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnpcert import Image, Rng, gaussian_noise, load_pgm, make_inpaint, psnr, save_pgm, ssim
+from pnpcert import imgcore
 from pnpcert.imgcore import PgmFormatError
 
 from conftest import synthetic_grid
@@ -104,6 +105,16 @@ class TestBulkStream:
         parts = np.concatenate([a.u64s(k) for k in sizes])
         assert np.array_equal(parts, b.u64s(sum(sizes)))
         assert a.u64s(1).tolist() == b.u64s(1).tolist()
+
+    @pytest.mark.parametrize("n, lane", [(0, 1), (1, 2)])
+    def test_one_lane_builds_no_jump_table(self, n, lane, monkeypatch):
+        # one lane steps only its own state; stepping the 256 unit states
+        # for the table would add lane more calls
+        calls = []
+        step = imgcore._step
+        monkeypatch.setattr(imgcore, "_step", lambda s: calls.append(1) or step(s))
+        assert Rng(7).u64s(n).tolist() == _ref_xoshiro(7, n)
+        assert len(calls) == lane
 
     @pytest.mark.parametrize("draw", [
         lambda rng: rng.u64s(-1),

@@ -361,7 +361,6 @@ class TestCheckAssumption:
         assert checks.forward_ok
         assert checks.spectrum_ok
         assert checks.fix_ok
-        assert checks.all_ok()
 
     @pytest.mark.parametrize("mode", ["dsg", "nlm"])
     def test_underflowing_affinities_disconnect_the_weights(self, mode):
@@ -411,7 +410,6 @@ class TestCheckAssumption:
         assert np.isnan([checks.spectrum_low, checks.second_eigenvalue, checks.spectrum_high]).all()
         assert not checks.spectrum_ok and not checks.spectrum_converged
         assert not checks.fix_ok
-        assert not checks.all_ok()
         assert checks.stochastic_ok and checks.forward_ok
 
     @pytest.mark.parametrize("mode", ["dsg", "nlm"])
@@ -431,7 +429,7 @@ class TestCheckAssumption:
         _, _, den = small_problem()
         checks = check_assumption(den, _ZeroOp(den.n))
         assert not checks.forward_ok
-        assert not checks.all_ok()
+        assert checks.stochastic_ok and checks.spectrum_ok and checks.fix_ok
 
     def test_identity_denoiser_with_partial_mask_fails(self):
         op = make_inpaint(8, 8, 0.3, Rng(11))
@@ -440,7 +438,7 @@ class TestCheckAssumption:
         checks = check_assumption(den, op)
         # every vector is fixed: the eigenvalue 1 is not simple
         assert not checks.fix_ok
-        assert not checks.all_ok()
+        assert checks.stochastic_ok and checks.forward_ok and checks.spectrum_ok
 
     @pytest.mark.parametrize("window", ["box", "hat"])
     @pytest.mark.parametrize("mode", ["dsg", "nlm"])
@@ -466,7 +464,7 @@ class TestCheckAssumption:
         checks = check_assumption(den, op)
         assert checks.spectrum_low < -0.05
         assert not checks.spectrum_ok
-        assert not checks.all_ok()
+        assert checks.stochastic_ok and checks.forward_ok and checks.fix_ok
 
     def test_box_window_indefiniteness_is_flagged(self):
         # box windows on smooth guides can make W indefinite; the certifier
@@ -512,6 +510,65 @@ class TestSpectrumInContractiveInterval:
         assert np.abs(im).max() <= 1e-8
         assert re.min() >= -1e-8
         assert re.max() < 1.0
+
+
+class TestInpaintingTheorem:
+    """On inpainting A^T A is the projection onto the observed pixels, which
+    commutes with D, so P has the spectrum of M^1/2 S M^1/2 with M >= 0 and S
+    W's symmetric form: real and in [0, 1] with either weights."""
+
+    @given(shape=st.tuples(st.integers(2, 7), st.integers(2, 7)).filter(
+               lambda rc: rc[0] * rc[1] >= 4),
+           fraction=st.floats(0.125, 1.0), seed=st.integers(0, 2**32 - 1),
+           pair=st.sampled_from([("pnp", "dsg"), ("pnp", "nlm"), ("red", "dsg"),
+                                 ("red", "nlm"), ("scaled_pnp", "nlm")]),
+           value=st.floats(0.0, 1.0, exclude_min=True), mu=st.floats(1e-3, 100.0))
+    @settings(max_examples=60, deadline=None)
+    def test_spectrum_is_real_and_in_the_unit_interval(self, shape, fraction, seed, pair,
+                                                       value, mu):
+        rows, cols = shape
+        kind, mode = pair
+        op = make_inpaint(rows, cols, fraction, Rng(seed))  # 0.125 n >= 0.5 observes a pixel
+        grid = synthetic_image(rows, cols).grid() + 0.1 * gaussian_noise(
+            Rng(seed), op.n, 1.0).reshape(rows, cols)
+        den = build_denoiser(Image.from_grid(grid), KernelParams(1, 2, 0.15, "hat"), mode)
+        assert check_assumption(den, op).spectrum_ok
+        if kind == "red":
+            it = IterationOperator("red", op, den, mu=mu, theta=value)
+        else:
+            diag = den.degrees if kind == "scaled_pnp" else None
+            it = IterationOperator(kind, op, den, value / lambda_max_gram(op, diag=diag).value)
+        eig = np.linalg.eigvals(materialize(it.apply, op.n))
+        assert np.abs(eig.imag).max() <= 1e-12
+        assert -1e-12 <= eig.real.min() and eig.real.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    @pytest.mark.parametrize("rows, cols, fraction", [(8, 8, 0.3), (7, 9, 0.7), (16, 16, 0.3)])
+    def test_pnp_at_fraction_one_is_the_hole_eigenvalue(self, rows, cols, fraction, mode):
+        # M = I - Pi_O = Pi_U, so the nonzero spectrum of P is that of S_UU
+        op = make_inpaint(rows, cols, fraction, Rng(5))
+        guide, params = synthetic_image(rows, cols), KernelParams(1, 2, 0.15, "hat")
+        den = build_denoiser(guide, params, mode)
+        sym = (den.weights if mode == "dsg"
+               else reference_symmetric(build_kernel(guide, params), den.degrees))
+        hole = ~op.mask
+        top = np.linalg.eigvalsh(sym.toarray()[np.ix_(hole, hole)])[-1]
+        est = spectral_radius(IterationOperator("pnp", op, den, 1.0), tol=1e-12)
+        assert est.converged
+        assert abs(est.value - top) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["dsg", "nlm"])
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0])
+    def test_red_is_pnp_on_the_same_weights(self, mu, mode):
+        # (I + mu Pi_O)^-1 = I - mu / (1 + mu) Pi_O, and AB has the spectrum of BA
+        op = make_inpaint(12, 12, 0.4, Rng(5))
+        den = build_denoiser(synthetic_image(12, 12), KernelParams(1, 2, 0.15, "hat"), mode)
+        spectra = [
+            np.sort(np.linalg.eigvals(materialize(it.apply, op.n)).real)
+            for it in (IterationOperator("red", op, den, mu=mu, theta=1.0),
+                       IterationOperator("pnp", op, den, mu / (1.0 + mu)))
+        ]
+        assert np.abs(spectra[0] - spectra[1]).max() <= 1e-12
 
 
 class TestReport:
