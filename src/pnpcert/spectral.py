@@ -8,8 +8,8 @@ eigenvalues of P lie in [0, 1), the full momentum iteration converges
 globally and linearly, with asymptotic rate sqrt(rho(P)): the limiting
 two-step update has companion form [[2P, -P], [I, 0]], whose eigenvalues
 lie on |lambda| = sqrt(mu) for each eigenvalue mu of P. An eigenvalue
-mu < -1/3, possible with pnp steps above 1 / lambda_max(A^T A), gives roots
-of modulus |mu| + sqrt(mu^2 - mu) > 1.
+mu < -1/3, possible past 4/3 of the pnp step bound 1 / lambda_max(A^T A)
+or with W indefinite, gives roots of modulus |mu| + sqrt(mu^2 - mu) > 1.
 
 This module holds the map, which checks its own parameters. It finds the
 eigenvalues of P that bound the rate with ARPACK (Lehoucq, Sorensen & Yang,
@@ -51,13 +51,14 @@ class IterationOperator:
     known, gamma >= 0 (pnp kinds; nan fails), mu > 0 and 0 <= theta <= 1.
 
     With dsg weights, and for the scaled kind, P is similar to a product of
-    two symmetric matrices, so its spectrum is real; it lies in [0, 1] while
+    two symmetric matrices, one PSD unless W is indefinite and the step is
+    past the bound below, so its spectrum is real; it lies in [0, 1] while
     W's does and, for the pnp kinds, gamma <= 1 / lambda_max of the (scaled)
-    Gram map, for which 1 / lambda_max(A^T A) is a D-free lower bound, as
-    all degrees are >= 1. Above that, P can have an eigenvalue below -1/3,
-    and the iteration diverges; ``build_report`` rates it. With nlm weights,
-    pnp and red are inside the theorem on inpainting, where A^T A commutes
-    with D; on blur their P has complex eigenvalues.
+    Gram map (1 / lambda_max(A^T A) is a D-free lower bound: degrees >= 1).
+    At a fraction f > 1 of it, P's spectrum stays at or above 1 - f while
+    W's is in [0, 1]: below -1/3 (divergence) needs f > 4/3; ``build_report``
+    rates it. With nlm weights, pnp and red are inside the theorem on
+    inpainting, where A^T A commutes with D; on blur P has complex eigenvalues.
     """
 
     kind: str
@@ -259,25 +260,27 @@ def build_report(
 
     ``checks`` comes from ``check_assumption`` on the same denoiser and
     operator; it does not depend on the grid value, so sweeps compute it once.
-    The rate is that of P's largest-modulus eigenvalue. Where the theorem's
-    hypotheses do not put P's spectrum in [0, inf) -- a pnp step fraction
-    above 1, nlm pnp or red off inpainting, or a failed spectrum check --
-    the eigenvalue of smallest real part is rated too, and the worse rate
-    counts. ``power_tol``/``power_max_iter`` are ARPACK's tol/maxiter.
+    The rate is r(mu_LM), r = ``accelerated_radius``, mu_LM P's largest-modulus
+    eigenvalue: exact where P's spectrum is real (dsg, scaled, or inpainting)
+    with a floor r(floor) <= r(mu_LM), as r grows with |mu| either side of 0.
+    The floor reads the spectrum check's low end (0 if it passes): min(low, 0)
+    for red and pnp fractions f <= 1, 1 - f above 1 if the check passes.
+    Else the smallest-real-part eigenvalue's rate counts too, unless mu_LM's
+    solve failed. ``power_tol``/``power_max_iter`` are ARPACK's tol/maxiter.
     """
     est = spectral_radius(iter_op, tol=power_tol, max_iter=power_max_iter)
     rate = accelerated_radius(est.value)
-    in_theorem = (
-        checks.spectrum_ok
-        and (iter_op.kind == "red" or grid_value <= 1.0)
-        and (iter_op.kind == "scaled_pnp" or iter_op.denoiser.mode == "dsg"
-             or iter_op.op.kind == "inpaint")
-    )
-    if not in_theorem:
-        low = arpack_eigenvalue(iter_op.apply, iter_op.n, "SR", power_tol, power_max_iter)
-        rate = float(np.max([rate, accelerated_radius(low.value)]))  # nan propagates
+    low = 0.0 if checks.spectrum_ok else checks.spectrum_low  # nan if its solve failed
+    if iter_op.kind != "red" and grid_value > 1.0:
+        low = 1.0 - grid_value if checks.spectrum_ok else np.nan
+    floor = min(low, 0.0)  # a nan low stays nan; min(0.0, nan) would be 0.0
+    real = (iter_op.kind == "scaled_pnp" or iter_op.denoiser.mode == "dsg"
+            or iter_op.op.kind == "inpaint")
+    if not (np.isnan(rate) or real and accelerated_radius(floor) <= rate):
+        other = arpack_eigenvalue(iter_op.apply, iter_op.n, "SR", power_tol, power_max_iter)
+        rate = float(np.max([rate, accelerated_radius(other.value)]))  # nan propagates
         est = EigenEstimate(
-            est.value, est.converged and low.converged, est.iterations + low.iterations
+            est.value, est.converged and other.converged, est.iterations + other.iterations
         )
     return SpectralReport(
         task=task,

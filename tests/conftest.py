@@ -89,6 +89,14 @@ def offset(iter_op, b: np.ndarray) -> np.ndarray:
     return iter_op.step(np.zeros(iter_op.n), iter_op.data_term(b))
 
 
+def spy(fn, position, seen):
+    """``fn``, recording its positional argument ``position`` in ``seen`` on each call."""
+    def wrapper(*args, **kwargs):
+        seen.append(args[position])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def momentum_companion(p_dense: np.ndarray) -> np.ndarray:
     """Dense 2n x 2n companion matrix [[2P, -P], [I, 0]] of the limit update."""
     n = p_dense.shape[0]

@@ -23,7 +23,7 @@ from pnpcert.cli import (
     parse_config,
 )
 
-from conftest import dense_forward, materialize, run_script, synthetic_image
+from conftest import dense_forward, materialize, run_script, spy, synthetic_image
 
 
 def write_truth(tmp_path, rows=16, cols=16):
@@ -62,14 +62,6 @@ def write_config(tmp_path, **over):
 
 def read_kv(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
-
-
-def spy(fn, position, seen):
-    """``fn``, recording its positional argument ``position`` in ``seen`` on each call."""
-    def wrapper(*args, **kwargs):
-        seen.append(args[position])
-        return fn(*args, **kwargs)
-    return wrapper
 
 
 def superres_lambda_max(side, kernel_size, kernel_sigma, factor):
@@ -503,15 +495,21 @@ class TestCertify:
     @pytest.mark.parametrize("over, grid, low_solves", [
         ({"algorithm": "pnp_fista"}, "0.5,0.9", 0),
         ({"algorithm": "red_apg"}, "0.5,1.0", 0),
-        ({"algorithm": "pnp_fista"}, "1.2", 1),
-        ({"algorithm": "pnp_fista", "window_shape": "box"}, "0.5", 1),
+        ({"algorithm": "pnp_fista"}, "1.2", 0),
+        ({"algorithm": "pnp_fista", "window_shape": "box"}, "0.5", 0),
+        ({"algorithm": "pnp_fista", "window_shape": "box"}, "1.2", 1),
+        ({"algorithm": "pnp_fista"}, "1.3", 1),
+        ({"algorithm": "red_apg", "window_shape": "box"}, "0.5,1.0", 0),
     ])
     def test_nlm_inpainting_is_rated_by_one_solve(self, tmp_path, monkeypatch, over, grid,
                                                   low_solves):
-        # A^T A = Pi_O commutes with D, so with a passing spectrum check and a
-        # pnp fraction <= 1 P's spectrum lies in [0, 1] and its largest-modulus
-        # eigenvalue sets the rate; past 1 or on an indefinite W the
-        # smallest-real-part solve still runs
+        # A^T A = Pi_O commutes with D, so P's spectrum is real. Its floor is
+        # min(low, 0) for red and pnp fractions f <= 1 (low: the spectrum
+        # check's low end, read as 0 when the check passes), and 1 - f above 1
+        # with a passing check. The largest-modulus eigenvalue sets the rate
+        # unless the floor's rate exceeds it: at 1.3, r(-0.3) = 0.924 against
+        # 0.884. Then, and past 1 on a box window, where no floor is known,
+        # the smallest-real-part solve still runs
         which, maps = [], []
         monkeypatch.setattr(spectral, "arpack_eigenvalue",
                             spy(spectral.arpack_eigenvalue, 2, which))
@@ -548,6 +546,36 @@ class TestCertify:
         (report,) = (tmp_path / "out" / "reports").glob("*.txt")
         kv = read_kv(report)
         assert kv["rho_P_converged"] == "true" and float(kv["rho_R"]) < 1.0
+
+    @pytest.mark.parametrize("task, over, low_solves", [
+        ("deblur", "", 0), ("superres", "", 0), ("inpaint", "", 0),
+        ("deblur", "denoiser = nlm\nwindow_shape = hat\n", 1),
+    ], ids=["deblur", "superres", "inpaint", "deblur-nlm-hat"])
+    def test_default_configs_certify_within_three_restarts(self, tmp_path, monkeypatch, task,
+                                                           over, low_solves):
+        # the default box window fails the spectrum check, but its low end
+        # floors P's real spectrum far inside the rate, so the largest-modulus
+        # solve alone rates P; with 3 restarts the smallest-real-part solve did
+        # not converge and gave rho_R = nan. nlm pnp on blur has complex
+        # eigenvalues and keeps that solve
+        which = []
+        monkeypatch.setattr(spectral, "arpack_eigenvalue",
+                            spy(spectral.arpack_eigenvalue, 2, which))
+        image = tmp_path / "smoke.pgm"
+        run_script(monkeypatch, "make_test_image.py", "--rows", "32", "--cols", "32",
+                   "--out", str(image))
+        rows = []
+        for cap in ([], ["--power-max-iter", "3"]):
+            out = tmp_path / f"out{len(cap)}"
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(f"task = {task}\nimage = {image}\ncrop = 0\n{over}out = {out}\n")
+            which.clear()
+            code = main(["certify", "--config", str(cfg_path), "--grid", "0.9", *cap])
+            assert code == EXIT_OK
+            rows.append((out / "certify.csv").read_text())
+        assert which.count("SR") == low_solves
+        if low_solves == 0:
+            assert rows[1] == rows[0] and rows[1].endswith(",true\n")
 
     def test_zero_map_certifies(self, tmp_path):
         # every pixel observed: A^T A = I, so at grid value 1 the map is W (I - A^T A) = 0

@@ -32,7 +32,7 @@ from scipy import sparse
 
 from conftest import (
     dense_oracle, fixed_point, materialize, momentum_companion, offset, reference_symmetric,
-    synthetic_image,
+    spy, synthetic_image,
 )
 
 
@@ -571,6 +571,68 @@ class TestInpaintingTheorem:
         assert np.abs(spectra[0] - spectra[1]).max() <= 1e-12
 
 
+FLOOR_CASES = [
+    (task, kind, mode)
+    for task in ("inpaint", "deblur", "superres")
+    for kind, mode in (("pnp", "dsg"), ("red", "dsg"), ("scaled_pnp", "nlm"),
+                       ("pnp", "nlm"), ("red", "nlm"))
+    if mode == "dsg" or kind == "scaled_pnp" or task == "inpaint"
+]
+
+
+class TestSpectrumFloor:
+    """Where P's spectrum is real, the spectrum check's low end (read as 0
+    when the check passes) floors it: at min(low, 0) for red and pnp
+    fractions f <= 1, and at 1 - f above 1 when the check passes. A floor
+    whose rate is within the largest-modulus eigenvalue's leaves that one
+    eigenvalue to set the rate, so no smallest-real-part solve runs."""
+
+    @given(shape=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+           case=st.sampled_from(FLOOR_CASES), window=st.sampled_from(["box", "hat"]),
+           value=st.floats(0.01, 4.0 / 3.0, exclude_max=True),
+           mu=st.floats(1e-2, 10.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_floor_bounds_the_dense_spectrum(self, shape, case, window, value, mu, seed):
+        task, kind, mode = case
+        rows, cols = (side + side % 2 for side in shape)  # superres decimates by 2
+        taps = gaussian_kernel(5, 1.2)
+        op = {"inpaint": lambda: make_inpaint(rows, cols, 0.4, Rng(seed)),
+              "deblur": lambda: make_blur(rows, cols, taps),
+              "superres": lambda: make_superres(rows, cols, taps, 2)}[task]()
+        grid = synthetic_image(rows, cols).grid() + 0.1 * gaussian_noise(
+            Rng(seed), op.n, 1.0).reshape(rows, cols)
+        den = build_denoiser(Image.from_grid(grid), KernelParams(1, 2, 0.15, window), mode)
+        checks = check_assumption(den, op)
+        lam = lambda_max_gram(op, diag=den.degrees if kind == "scaled_pnp" else None).value
+        if kind == "red":
+            value = min(value, 1.0)
+            it = IterationOperator("red", op, den, mu=mu, theta=value)
+        else:
+            it = IterationOperator(kind, op, den, value / lam)
+        low = 0.0 if checks.spectrum_ok else checks.spectrum_low
+        if kind == "red" or value <= 1.0:
+            floor = min(low, 0.0)
+        else:
+            floor = 1.0 - value if checks.spectrum_ok else None
+        which = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "arpack_eigenvalue", spy(spectral.arpack_eigenvalue, 2, which))
+            report = build_report(task, it, value, lam, checks, power_tol=1e-12)
+        assert report.rho_step.converged
+        if floor is None:
+            assert "SR" in which
+            return
+        P = materialize(it.apply, op.n)
+        eig = np.linalg.eigvals(P)
+        assert np.abs(eig.imag).max() <= 1e-10
+        assert eig.real.min() >= floor - 1e-12
+        skip = accelerated_radius(floor) <= accelerated_radius(report.rho_step.value)
+        assert ("SR" in which) == (not skip)
+        if skip:
+            radius = np.abs(np.linalg.eigvals(momentum_companion(P))).max()
+            assert abs(report.rho_accel - radius) <= 1e-8
+
+
 class TestReport:
     def test_build_and_serialize(self):
         op, _, den = small_problem()
@@ -597,6 +659,48 @@ class TestReport:
         assert not report.rho_step.converged and not report.certified
         assert np.isnan(report.rho_step.value) and np.isnan(report.rho_accel)
         assert "rho_P=nan" in report.to_kv() and report.csv_row().endswith(",nan,nan,false")
+
+    def test_failed_assumption_solve_leaves_no_floor(self, monkeypatch):
+        # a box window fails the spectrum check, but its low end floors P's
+        # spectrum within the rate; a failed check solve leaves low = nan, so
+        # the smallest-real-part solve must run (min(0.0, nan) would read 0.0)
+        op = make_inpaint(8, 8, 0.3, Rng(14))
+        den = build_denoiser(synthetic_image(8, 8), KernelParams(1, 2, 0.15, "box"), "dsg")
+        it = IterationOperator("pnp", op, den, 0.5)
+        which, solve = [], spectral.arpack_eigenvalue
+
+        def failing_ends(apply, n, sel, *args, **kw):
+            which.append(sel)
+            if sel == "BE":
+                return spectral.EigenEstimate(np.full(3, np.nan), False, 0)
+            return solve(apply, n, sel, *args, **kw)
+
+        checks = check_assumption(den, op)
+        assert not checks.spectrum_ok and checks.spectrum_low < 0.0
+        monkeypatch.setattr(spectral, "arpack_eigenvalue", spy(solve, 2, which))
+        build_report("inpaint", it, 0.5, 1.0, checks)
+        assert which == ["LM"]
+        which.clear()
+        monkeypatch.setattr(spectral, "arpack_eigenvalue", failing_ends)
+        failed = check_assumption(den, op)
+        assert np.isnan(failed.spectrum_low)
+        report = build_report("inpaint", it, 0.5, 1.0, failed)
+        assert which == ["BE", "LM", "SR"] and report.rho_step.converged
+
+    def test_unconverged_rate_solve_makes_no_low_solve(self, monkeypatch):
+        # the report is refused whatever the smallest-real-part solve finds,
+        # so even a map outside the theorem (a box window) makes none
+        op = make_inpaint(8, 8, 0.3, Rng(14))
+        den = build_denoiser(synthetic_image(8, 8), KernelParams(1, 2, 0.15, "box"), "dsg")
+        checks = check_assumption(den, op)
+        assert not checks.spectrum_ok
+        which = []
+        monkeypatch.setattr(spectral, "arpack_eigenvalue",
+                            spy(spectral.arpack_eigenvalue, 2, which))
+        report = build_report("inpaint", IterationOperator("pnp", op, den, 0.9), 0.9, 1.0,
+                              checks, power_tol=1e-16, power_max_iter=1)
+        assert which == ["LM"]
+        assert not report.certified and report.csv_row().endswith(",nan,nan,false")
 
     def test_solve_keys_appended_after_heuristic(self):
         op, _, den = small_problem()
